@@ -98,11 +98,11 @@ class TestSweepThroughput:
                                     cross_check=False))
 
     def test_cold_scheduler_shape(self, tmp_path):
-        from repro.util.instrument import STATS
+        from repro.obs import TRACER
 
-        before = STATS.metrics.counter("sweep.chunks").value
+        before = TRACER.metrics.counter("sweep.chunks").value
         report = run_sweep(SPEC, workers=2, cache_dir=tmp_path,
                            cross_check=False)
         assert len(report.results) == 12
         assert report.ok_results and report.failures
-        assert STATS.metrics.counter("sweep.chunks").value > before
+        assert TRACER.metrics.counter("sweep.chunks").value > before

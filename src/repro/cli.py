@@ -87,7 +87,6 @@ from repro.report import (
     sweep_pareto_table,
     sweep_table,
 )
-from repro.util.instrument import STATS
 
 #: Per-invocation extras commands may stash for the run record
 #: (machine stats, event counts, exported file paths).
@@ -236,7 +235,7 @@ def cmd_sweep(args) -> int:
     if args.heartbeat:
         print(f"heartbeat: {args.heartbeat}")
     if args.manifest:
-        resumed = int(STATS.metrics.gauges.get("sweep.jobs_resumed", 0))
+        resumed = int(TRACER.metrics.gauges.get("sweep.jobs_resumed", 0))
         info = read_manifest(args.manifest)
         print(f"manifest: {args.manifest} "
               f"({len(info['completed'])}/{info['total']} journaled, "
@@ -755,7 +754,7 @@ def main(argv=None) -> int:
     wall = time.perf_counter() - t0
     if want_stats:
         print()
-        print(STATS.report())
+        print(TRACER.report())
     if record_root is not None:
         extra = {k: v for k, v in RUN_EXTRA.items() if k != "machine_stats"}
         wire = TRACER.metrics.to_wire()

@@ -45,19 +45,19 @@ from repro.codegen.emit import (
     UnsupportedForNative,
 )
 from repro.codegen.toolchain import Toolchain, find_toolchain
-from repro.util.instrument import STATS
+from repro.obs import TRACER
 
 #: Typed counter handles (see :mod:`repro.obs.telemetry`); increments
-#: route through ``STATS.count`` so span attribution is preserved.
-_CACHE_HITS = STATS.metrics.counter("native.cache_hits")
-_CACHE_MISSES = STATS.metrics.counter("native.cache_misses")
-_NEGATIVE_HITS = STATS.metrics.counter("native.negative_hits")
-_NEGATIVE_STORES = STATS.metrics.counter("native.negative_stores")
-_COMPILES = STATS.metrics.counter("native.compiles")
-_LOAD_ERRORS = STATS.metrics.counter("native.load_errors")
+#: route through ``TRACER.count`` so span attribution is preserved.
+_CACHE_HITS = TRACER.metrics.counter("native.cache_hits")
+_CACHE_MISSES = TRACER.metrics.counter("native.cache_misses")
+_NEGATIVE_HITS = TRACER.metrics.counter("native.negative_hits")
+_NEGATIVE_STORES = TRACER.metrics.counter("native.negative_stores")
+_COMPILES = TRACER.metrics.counter("native.compiles")
+_LOAD_ERRORS = TRACER.metrics.counter("native.load_errors")
 #: Wall time of each ``cc`` invocation, seconds.  Observed directly (not
 #: via a span) so compile latency is visible even with tracing off.
-_COMPILE_SECONDS = STATS.metrics.histogram("native.compile_s")
+_COMPILE_SECONDS = TRACER.metrics.histogram("native.compile_s")
 
 #: Same root as the design cache (see :mod:`repro.core.cache`); kept as a
 #: literal here so the codegen layer stays import-independent of ``core``.
@@ -120,7 +120,7 @@ def _atomic_write(path: Path, body: bytes) -> None:
 
 
 def _load(path: Path, symbol: str, node_count: int) -> NativeKernel:
-    with STATS.stage("native.load"):
+    with TRACER.span("native.load"):
         lib = ctypes.CDLL(str(path))
         fn = getattr(lib, symbol)
         fn.argtypes = [ctypes.POINTER(ctypes.c_int64), ctypes.c_long,
@@ -165,7 +165,7 @@ def load_or_build(source_provider: Callable[[], CKernelSource],
     source: "CKernelSource | None" = None
     if key_material is None:
         try:
-            with STATS.stage("native.emit"):
+            with TRACER.span("native.emit"):
                 source = source_provider()
         except UnsupportedForNative as exc:
             return None, str(exc)
@@ -191,7 +191,7 @@ def load_or_build(source_provider: Callable[[], CKernelSource],
     _CACHE_MISSES.inc()
     if source is None:
         try:
-            with STATS.stage("native.emit"):
+            with TRACER.span("native.emit"):
                 source = source_provider()
         except UnsupportedForNative as exc:
             return None, str(exc)
@@ -203,7 +203,7 @@ def load_or_build(source_provider: Callable[[], CKernelSource],
     os.close(fd)
     t0 = time.perf_counter()
     try:
-        with STATS.stage("native.cc"):
+        with TRACER.span("native.cc"):
             proc = subprocess.run(
                 toolchain.compile_command(str(c_path), tmp_so),
                 capture_output=True, text=True, timeout=300)
@@ -235,7 +235,7 @@ def load_or_build(source_provider: Callable[[], CKernelSource],
         "compile_ms": compile_ms, "toolchain": toolchain.fingerprint,
     }, sort_keys=True, indent=1).encode("utf-8"))
     _COMPILES.inc()
-    STATS.annotate(native_compile_ms=compile_ms)
+    TRACER.annotate(native_compile_ms=compile_ms)
     try:
         return _load(so_path, source.symbol, source.node_count), None
     except OSError as exc:

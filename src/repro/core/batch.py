@@ -36,8 +36,9 @@ Execution model:
   debug route with no pickling or process boundaries;
 * a failed job records its :class:`~repro.util.errors.SynthesisError`
   in its :class:`SweepResult` instead of killing the sweep;
-* per-job wall time and the solver's :mod:`repro.util.instrument` counters
-  travel back with each result and are merged into the parent's ``STATS``;
+* per-job wall time and the job's :data:`~repro.obs.TRACER` wire
+  (counters, timers, gauges, histograms, span tree) travel back with each
+  result and are merged into the parent's tracer;
 * with ``cross_check=True`` one cached entry per sweep (the cheapest, to
   keep warm runs fast) is re-synthesized from scratch and compared against
   the stored payload — a standing guard against stale or corrupted caches.
@@ -65,6 +66,7 @@ from repro.core.options import SynthesisOptions
 from repro.core.scheduler import SchedulerConfig, WorkStealingScheduler
 from repro.core.verify import verify_design
 from repro.ir.program import RecurrenceSystem
+from repro.obs import TRACER
 from repro.obs.progress import ProgressSink, SweepProgress
 from repro.problems import (
     convolution_backward,
@@ -74,7 +76,6 @@ from repro.problems import (
     matmul_system,
 )
 from repro.util.errors import SynthesisError
-from repro.util.instrument import STATS
 
 #: name -> (system builder, parameter names the problem needs).  Builders
 #: are module-level callables so jobs pickle across process boundaries.
@@ -356,24 +357,23 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
     """Synthesize one job (worker side or serial path) and cache the
     outcome — the solved design, or the failure as a negative entry.
 
-    Stats protocol: a *worker* process resets the global registry so the
-    job's delta is exactly its own snapshot (and a reused pool worker never
-    accumulates span trees).  On the serial fallback the registry belongs
-    to the caller and is **left untouched** — the delta is computed by
-    differencing, so sweep counters no longer leak into (or clobber)
-    subsequent same-process runs.  With ``tracing`` the job's span subtree
-    travels back inside ``result.stats["spans"]`` and the parent grafts it,
-    mirroring the counter merge.
+    Stats protocol: a *worker* process resets the global tracer, so its
+    :meth:`~repro.obs.Tracer.to_wire` after the solve is exactly the job's
+    delta — counters, timers, gauges, histograms and, with ``tracing``, the
+    job's span subtree — and that wire is ``result.stats``.  On the serial
+    fallback the tracer belongs to the caller and is **left untouched**:
+    the job accrues into it directly and ``result.stats`` holds only the
+    counter and timer :meth:`~repro.obs.Tracer.delta` of this job.
     """
     if in_worker:
-        STATS.reset()
+        TRACER.reset()
         if tracing:
-            STATS.enable()
+            TRACER.enable()
     t0 = time.perf_counter()
-    before = STATS.snapshot()
+    before = None if in_worker else TRACER.snapshot()
     system = job.builder()
     key = cache_key(system, job.params_dict, job.interconnect, job.options)
-    with STATS.span("sweep.job", job=job.label()) as job_span:
+    with TRACER.span("sweep.job", job=job.label()) as job_span:
         try:
             design = synthesize(system, job.params_dict, job.interconnect,
                                 job.options)
@@ -382,28 +382,13 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
             design = None
             error = exc
     wall = time.perf_counter() - t0
-    after = STATS.snapshot()
-    delta = {
-        "counters": {k: v - before["counters"].get(k, 0)
-                     for k, v in after["counters"].items()
-                     if v != before["counters"].get(k, 0)},
-        "timers": {k: v - before["timers"].get(k, 0.0)
-                   for k, v in after["timers"].items()
-                   if v != before["timers"].get(k, 0.0)},
-    }
-    if job_span is not None and in_worker:
-        # Ship the subtree; drop the worker-side copy so a reused pool
-        # process does not grow an unbounded span forest.
-        delta["spans"] = [job_span.to_dict()]
-        STATS.discard(job_span)
     if in_worker:
-        # Typed-telemetry counterpart of the counter delta: gauges and
-        # stage-latency histograms recorded while tracing (counters
-        # already travel through the historical channel above — shipping
-        # them here too would double-count on merge).
-        wire = STATS.metrics.to_wire(counters=False)
-        if wire["gauges"] or wire["histograms"]:
-            delta["telemetry"] = wire
+        delta = TRACER.to_wire()
+        # Drop the shipped subtree so a reused pool process does not grow
+        # an unbounded span forest.
+        TRACER.discard(job_span)
+    else:
+        delta = TRACER.delta(before)
     if design is not None:
         result = SweepResult(
             problem=job.problem, params=job.params_dict,
@@ -442,7 +427,7 @@ def _verify_result(job: SweepJob, design: Design,
     instances (the vector engine batches them into one kernel pass)."""
     try:
         factory = input_factory(job.problem, job.params_dict)
-        with STATS.stage("sweep.verify"):
+        with TRACER.span("sweep.verify"):
             report = verify_design(design, factory,
                                    engine=job.options.engine,
                                    seeds=range(job.verify_seeds))
@@ -451,7 +436,7 @@ def _verify_result(job: SweepJob, design: Design,
     except KeyError:
         # Problems without a random-instance generator stay unverified.
         result.verify_seeds = 0
-    STATS.count("sweep.verified_seeds", result.verify_seeds)
+    TRACER.count("sweep.verified_seeds", result.verify_seeds)
 
 
 def _result_from_payload(job: SweepJob, key: str,
@@ -477,9 +462,8 @@ def _result_from_payload(job: SweepJob, key: str,
 
 def _merge_stats(delta: dict, *, job_key: "str | None" = None,
                  merged: "set[str] | None" = None) -> None:
-    """Fold a worker's counter/timer deltas — span subtree and typed
-    telemetry included — into the parent registry (the serial path needs
-    no merge: it accrued directly).
+    """Fold a worker job's tracer wire into the parent tracer (the serial
+    path needs no merge: it accrued directly).
 
     ``job_key``/``merged`` deduplicate by job identity: a job that reaches
     the parent twice (a worker result salvaged after a pool break *and*
@@ -488,19 +472,10 @@ def _merge_stats(delta: dict, *, job_key: "str | None" = None,
     """
     if merged is not None and job_key is not None:
         if job_key in merged:
-            STATS.count("sweep.merge_deduped")
+            TRACER.count("sweep.merge_deduped")
             return
         merged.add(job_key)
-    for name, value in delta.get("counters", {}).items():
-        STATS.count(name, value)
-    for name, value in delta.get("timers", {}).items():
-        STATS.timers[name] = STATS.timers.get(name, 0.0) + value
-    if STATS.enabled:
-        for span_dict in delta.get("spans", ()):
-            STATS.graft(span_dict)
-    telemetry = delta.get("telemetry")
-    if telemetry:
-        STATS.metrics.merge_wire(telemetry)
+    TRACER.merge_wire(delta)
 
 
 def _cross_check(results: Sequence[SweepResult],
@@ -520,10 +495,10 @@ def _cross_check(results: Sequence[SweepResult],
     job = jobs_by_key[probe.identity]
     fresh = synthesize(job.builder(), job.params_dict, job.interconnect,
                        job.options)
-    STATS.count("sweep.cross_checks")
+    TRACER.count("sweep.cross_checks")
     if fresh.to_dict() == probe.design_payload:
         return f"ok ({probe.label()})"
-    STATS.count("sweep.cross_check_mismatches")
+    TRACER.count("sweep.cross_check_mismatches")
     return (f"MISMATCH at {probe.label()}: cached payload differs from "
             "fresh synthesis — clear the cache directory")
 
@@ -590,8 +565,8 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
     """
     jobs = spec.jobs() if isinstance(spec, SweepSpec) else list(spec)
     nworkers = default_workers() if workers is None else max(0, int(workers))
-    STATS.metrics.set_gauge("sweep.workers", nworkers)
-    tracker = SweepProgress.create(progress, registry=STATS.metrics)
+    TRACER.metrics.set_gauge("sweep.workers", nworkers)
+    tracker = SweepProgress.create(progress, registry=TRACER.metrics)
     t0 = time.perf_counter()
     cache = DesignCache(cache_dir) if use_cache else None
     cache_root = str(cache.root) if cache is not None else None
@@ -611,7 +586,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
     keys: "list[str] | None" = None
     idents: "list[str] | None" = None
     if cache is not None or manifest is not None:
-        with STATS.stage("sweep.keys"):
+        with TRACER.span("sweep.keys"):
             keys = _key_jobs(jobs)
             idents = [_job_identity(key, job)
                       for key, job in zip(keys, jobs)]
@@ -627,7 +602,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
             if tracker is not None:
                 tracker.job_done(ok=result.ok, cache_hit=result.cache_hit,
                                  label=result.label(), resumed=True)
-        STATS.metrics.set_gauge("sweep.jobs_resumed", len(restored))
+        TRACER.metrics.set_gauge("sweep.jobs_resumed", len(restored))
 
     def _finished(result: SweepResult) -> None:
         if journal is not None:
@@ -635,7 +610,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
 
     hits = 0
     try:
-        with STATS.stage("sweep.probe"):
+        with TRACER.span("sweep.probe"):
             for idx, job in enumerate(jobs):
                 key = keys[idx] if keys is not None else None
                 if idents is not None and idents[idx] in restored:
@@ -657,7 +632,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
                     tracker.job_done(ok=result.ok, cache_hit=True,
                                      label=result.label())
 
-        with STATS.stage("sweep.solve"):
+        with TRACER.span("sweep.solve"):
             if not pending:
                 pass
             elif nworkers == 0 or len(pending) == 1:
@@ -679,7 +654,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
 
     check = None
     if cross_check:
-        with STATS.stage("sweep.cross_check"):
+        with TRACER.span("sweep.cross_check"):
             check = _cross_check(results, jobs_by_key)
 
     results.sort(key=SweepResult._sort_key)

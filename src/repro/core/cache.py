@@ -69,19 +69,19 @@ from repro.core.design import Design
 from repro.core.globals import link_constraints
 from repro.core.options import SynthesisOptions
 from repro.ir.program import RecurrenceSystem
-from repro.util.instrument import STATS
+from repro.obs import TRACER
 
 #: Typed handles into the process metrics registry.  Incrementing through
-#: them still routes via ``STATS.count`` (span attribution), but the names
+#: them still routes via ``TRACER.count`` (span attribution), but the names
 #: are declared once here instead of being scattered string literals.
-_HITS = STATS.metrics.counter("cache.hits")
-_MISSES = STATS.metrics.counter("cache.misses")
-_NEGATIVE_HITS = STATS.metrics.counter("cache.negative_hits")
-_STORES = STATS.metrics.counter("cache.stores")
-_NEGATIVE_STORES = STATS.metrics.counter("cache.negative_stores")
-_MIGRATIONS = STATS.metrics.counter("cache.migrated")
-_EVICTIONS = STATS.metrics.counter("cache.evictions")
-_EVICTED_BYTES = STATS.metrics.counter("cache.evicted_bytes")
+_HITS = TRACER.metrics.counter("cache.hits")
+_MISSES = TRACER.metrics.counter("cache.misses")
+_NEGATIVE_HITS = TRACER.metrics.counter("cache.negative_hits")
+_STORES = TRACER.metrics.counter("cache.stores")
+_NEGATIVE_STORES = TRACER.metrics.counter("cache.negative_stores")
+_MIGRATIONS = TRACER.metrics.counter("cache.migrated")
+_EVICTIONS = TRACER.metrics.counter("cache.evictions")
+_EVICTED_BYTES = TRACER.metrics.counter("cache.evicted_bytes")
 
 #: Environment variable overriding the cache directory.
 CACHE_ENV_VAR = "REPRO_DESIGN_CACHE"
@@ -254,7 +254,7 @@ class DesignCache:
     # -- raw payloads --------------------------------------------------------
 
     def load(self, key: str) -> dict | None:
-        """The stored payload, or ``None`` on a miss (counted in STATS).
+        """The stored payload, or ``None`` on a miss (counted in TRACER).
 
         A corrupt entry (interrupted writer from a pre-atomic-write era,
         disk mishap) is treated as a miss, not an error.  Counters

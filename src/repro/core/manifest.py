@@ -38,7 +38,7 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.util.instrument import STATS
+from repro.obs import TRACER
 
 if TYPE_CHECKING:                                       # pragma: no cover
     from repro.core.batch import SweepResult
@@ -53,8 +53,8 @@ MANIFEST_VERSION = 2
 #: cheap-to-redo jobs, never the whole sweep.
 DEFAULT_FSYNC_EVERY = 16
 
-_RESTORED = STATS.metrics.counter("sweep.manifest_restored")
-_RECORDED = STATS.metrics.counter("sweep.manifest_recorded")
+_RESTORED = TRACER.metrics.counter("sweep.manifest_restored")
+_RECORDED = TRACER.metrics.counter("sweep.manifest_recorded")
 
 
 class ManifestError(ValueError):

@@ -44,14 +44,14 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.util.instrument import STATS
+from repro.obs import TRACER
 
 if TYPE_CHECKING:                                       # pragma: no cover
     from repro.core.batch import SweepJob, SweepResult
     from repro.obs.progress import SweepProgress
 
-_CHUNKS = STATS.metrics.counter("sweep.chunks")
-_STEALS = STATS.metrics.counter("sweep.steals")
+_CHUNKS = TRACER.metrics.counter("sweep.chunks")
+_STEALS = TRACER.metrics.counter("sweep.steals")
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class ChunkPlanner:
     def __init__(self, config: "SchedulerConfig | None" = None,
                  registry=None) -> None:
         self.config = config or SchedulerConfig()
-        self.registry = registry if registry is not None else STATS.metrics
+        self.registry = registry if registry is not None else TRACER.metrics
 
     def _histogram_name(self, cls: str) -> str:
         return f"sweep.job_s.{cls}"
@@ -109,10 +109,9 @@ def _execute_chunk(jobs: "list[SweepJob]", cache_root: "str | None",
                    tracing: bool = False) -> "list[SweepResult]":
     """Worker-side entry: run one homogeneous chunk job by job.
 
-    Each job keeps its own stats delta (the per-job registry
-    reset/snapshot protocol of :func:`repro.core.batch._execute_job`), so
-    chunked execution merges into the parent exactly like per-job
-    execution did.
+    Each job ships its own tracer wire (the per-job reset protocol of
+    :func:`repro.core.batch._execute_job`), so chunked execution merges
+    into the parent exactly like per-job execution did.
     """
     from repro.core.batch import _execute_job
 
@@ -236,7 +235,7 @@ class WorkStealingScheduler:
                     _CHUNKS.inc()
                     fut = pool.submit(
                         _execute_chunk, [self.jobs[i] for i in chunk],
-                        self.cache_root, self.use_cache, STATS.enabled)
+                        self.cache_root, self.use_cache, TRACER.enabled)
                     in_flight[fut] = (w, chunk)
 
                 for w in range(self.nworkers):
@@ -278,7 +277,7 @@ class WorkStealingScheduler:
             retry.extend(dq)
             dq.clear()
         retry = [idx for idx in retry if idx not in self._by_index]
-        STATS.count("sweep.worker_retries", len(retry))
+        TRACER.count("sweep.worker_retries", len(retry))
         for idx in sorted(retry):
             # Serial fallback accrues stats directly into the caller's
             # registry; pre-mark the key so a salvaged duplicate delta

@@ -39,8 +39,8 @@ from repro.machine.microcode import compile_design
 from repro.machine.native import nativize
 from repro.machine.simulator import MachineStats, run
 from repro.machine.vector import vectorize
+from repro.obs import TRACER
 from repro.space.allocation import conflict_free, flows_realisable
-from repro.util.instrument import STATS
 
 ENGINES = _ENGINES  # historical name; the registry lives in machine.engines
 
@@ -102,7 +102,7 @@ def _symbolic_checks(design: Design, report: VerificationReport,
 def _annotate_machine(stats: MachineStats) -> None:
     """Attach the machine's headline numbers to the active tracer span so a
     recorded run carries them without any caller plumbing."""
-    STATS.annotate(cycles=stats.cycles, cells=stats.cells_used,
+    TRACER.annotate(cycles=stats.cycles, cells=stats.cells_used,
                    operations=stats.operations, hops=stats.hops,
                    utilization=round(stats.utilization, 3))
 
@@ -123,7 +123,7 @@ def _verify_looped(design: Design, report: VerificationReport, decomposer,
     """One reference + machine value pass per input set (the compiled and
     interpreted engines)."""
     for prefix, inputs in zip(prefixes, input_sets):
-        with STATS.stage("verify.reference"):
+        with TRACER.span("verify.reference"):
             if cache is not None:
                 plan = cache.get("plan")
                 if plan is None:
@@ -134,20 +134,20 @@ def _verify_looped(design: Design, report: VerificationReport, decomposer,
                 trace = trace_execution(design.system, design.params, inputs)
         try:
             if cache is not None:
-                with STATS.stage("verify.compile"):
+                with TRACER.span("verify.compile"):
                     lowered = cache.get("machine")
                     if lowered is None:
                         mc = compile_design(trace, design.schedules,
                                             design.space_maps, decomposer)
                         lowered = cache["machine"] = lower(mc, trace)
-                with STATS.stage("verify.machine"):
+                with TRACER.span("verify.machine"):
                     machine = lowered.execute(inputs, strict=strict_capacity)
                     _annotate_machine(machine.stats)
             else:
-                with STATS.stage("verify.compile"):
+                with TRACER.span("verify.compile"):
                     mc = compile_design(trace, design.schedules,
                                         design.space_maps, decomposer)
-                with STATS.stage("verify.machine"):
+                with TRACER.span("verify.machine"):
                     machine = run(mc, trace, inputs, strict=strict_capacity,
                                   engine=engine)
                     _annotate_machine(machine.stats)
@@ -192,7 +192,7 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
     pass wherever the native kernel cannot run."""
     if not input_sets:
         return
-    with STATS.stage("verify.reference"):
+    with TRACER.span("verify.reference"):
         plan = cache.get("plan")
         if plan is None:
             plan = cache["plan"] = build_execution_plan(
@@ -202,7 +202,7 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
             vplan = cache["vplan"] = lower_plan(plan)
         ref_matrix = execute_program(vplan, input_sets)
     try:
-        with STATS.stage("verify.compile"):
+        with TRACER.span("verify.compile"):
             slot = "nmachine" if engine == "native" else "vmachine"
             vmachine = cache.get(slot)
             if vmachine is None:
@@ -217,7 +217,7 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
                         lowered, cache_token=design_token(design))
                 else:
                     vmachine = cache[slot] = vectorize(lowered)
-        with STATS.stage("verify.machine"):
+        with TRACER.span("verify.machine"):
             compiled = vmachine.compiled
             if strict_capacity and compiled.strict_error is not None:
                 raise CapacityError(compiled.strict_error)
@@ -282,7 +282,7 @@ def verify_design(design: Design, inputs,
     decomposer = design.interconnect.decomposer()
     cache = design._exec_cache if engine != "interpreted" else None
 
-    with STATS.stage("verify.symbolic"):
+    with TRACER.span("verify.symbolic"):
         if cache is not None and "symbolic" in cache:
             flags, failures = cache["symbolic"]
             (report.schedule_valid, report.conflict_free,

@@ -53,12 +53,12 @@ import numpy as np
 from repro.ir.evaluate import ExecutionPlan, SystemTrace
 from repro.ir.ops import ADD, IDENTITY, MAC, MAX, MIN, MIN_PLUS, MUL, Op
 from repro.ir.statements import ComputeRule, LinkRule
-from repro.util.instrument import STATS
+from repro.obs import TRACER
 
 #: Typed counter for the int64 -> object-array perf cliff (see
 #: :mod:`repro.obs.telemetry`); shared with the native engine.
-_INT64_FALLBACKS = STATS.metrics.counter("vector.int64_fallbacks")
-_KERNELS = STATS.metrics.counter("vector.kernels")
+_INT64_FALLBACKS = TRACER.metrics.counter("vector.int64_fallbacks")
+_KERNELS = TRACER.metrics.counter("vector.kernels")
 
 
 class IntegerFallback(Exception):
@@ -254,7 +254,7 @@ def build_program(node_count: int,
     copy); ``input_entries`` are host fetches ``(dst id, input name,
     pre-evaluated index)``.  Ids must be dense in ``[0, node_count)``.
     """
-    with STATS.stage("vector.lower"):
+    with TRACER.span("vector.lower"):
         # Current value's producer level, and the latest level reading it —
         # consumers go strictly above producers (RAW), rewrites go strictly
         # above both the previous value (WAW) and its readers (WAR).
@@ -405,9 +405,9 @@ def _execute(program: VectorProgram,
                           dtype=np.int64)
     else:
         values = np.empty((len(input_sets), program.node_count), dtype=object)
-    with STATS.stage("vector.gather"):
+    with TRACER.span("vector.gather"):
         fill_inputs(program, values, input_sets, int_mode)
-    with STATS.stage("vector.exec"):
+    with TRACER.span("vector.exec"):
         kernels = 0
         for group in program.groups:
             if group.kind == "input":

@@ -49,14 +49,14 @@ from repro.machine.errors import CapacityError
 from repro.machine.microcode import Microcode
 from repro.machine.simulator import MachineRun
 from repro.machine.vector import vectorize
+from repro.obs import TRACER
 from repro.obs.events import EventSink
-from repro.util.instrument import STATS
 
 #: Typed fallback counters (see :mod:`repro.obs.telemetry`).
-_VECTOR_FALLBACKS = STATS.metrics.counter("native.vector_fallbacks")
-_INPUT_FALLBACKS = STATS.metrics.counter("native.input_fallbacks")
-_OVERFLOW_FALLBACKS = STATS.metrics.counter("native.overflow_fallbacks")
-_FALLBACK_BUILDS = STATS.metrics.counter("native.fallback_builds")
+_VECTOR_FALLBACKS = TRACER.metrics.counter("native.vector_fallbacks")
+_INPUT_FALLBACKS = TRACER.metrics.counter("native.input_fallbacks")
+_OVERFLOW_FALLBACKS = TRACER.metrics.counter("native.overflow_fallbacks")
+_FALLBACK_BUILDS = TRACER.metrics.counter("native.fallback_builds")
 
 
 @dataclass
@@ -109,13 +109,13 @@ class NativeMachine:
         values = np.zeros((len(input_sets), self.program.node_count),
                           dtype=np.int64)
         try:
-            with STATS.stage("vector.gather"):
+            with TRACER.span("vector.gather"):
                 fill_inputs(self.program, values, input_sets, int_mode=True)
         except (IntegerFallback, OverflowError) as exc:
             note_int64_fallback(str(exc) or type(exc).__name__)
             _INPUT_FALLBACKS.inc()
             return _execute_typed(self.program, input_sets, object)
-        with STATS.stage("native.exec"):
+        with TRACER.span("native.exec"):
             rc = kernel.run(values)
         if rc != 0:
             note_int64_fallback("int64 overflow in native kernel")

@@ -4,9 +4,10 @@ Five cooperating pieces, all opt-in and all zero-cost on hot paths when
 unused:
 
 * :mod:`repro.obs.tracer` — the hierarchical span tracer behind the
-  process-wide :data:`TRACER` (also visible as the historical
-  ``repro.util.instrument.STATS``), plus the profiling exports
-  (:func:`collapsed_stacks` flamegraph format, Chrome trace);
+  process-wide :data:`TRACER`, the one entry point every layer counts and
+  times through, with the single worker→parent wire
+  (:meth:`Tracer.to_wire` / :meth:`Tracer.merge_wire`) and the profiling
+  exports (:func:`collapsed_stacks` flamegraph format, Chrome trace);
 * :mod:`repro.obs.telemetry` — the typed metrics registry
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram`, mergeable
   across sweep workers) behind the process-wide :data:`METRICS`, with the

@@ -7,17 +7,16 @@ how many cache hits across a million jobs, what is the p95 of the
 provides the typed registry those questions are asked against:
 
 * :class:`Counter` — a monotone event count.  Counters share storage with
-  the tracer's historical flat ``counters`` dict, so every existing
-  ``STATS.count(...)`` call site (cache hits, ``vector.int64_fallbacks``,
-  the ``native.*`` family) is *already* publishing into the registry;
-  typed handles are the blessed way to bump them from new code.
+  the tracer's flat ``counters`` dict, so every ``TRACER.count(...)`` call
+  site publishes into the registry; typed handles are the blessed way to
+  bump them from new code.
 * :class:`Gauge` — a last-value measurement (sweep throughput, ETA).
 * :class:`Histogram` — a distribution with **fixed buckets** (exact
   cumulative counts, Prometheus-exposable) plus a **deterministic
   reservoir** for percentile estimates.  Histograms are *mergeable*:
   :meth:`Histogram.merge_wire` is associative and commutative, so worker
-  registries folded in any order — the ProcessPoolExecutor batch stats
-  protocol of :mod:`repro.core.batch` — produce identical aggregates.
+  registries folded in any order — the sweep worker wire of
+  :mod:`repro.core.batch` — produce identical aggregates.
 * :func:`render_prometheus` — the text exposition format over a registry,
   the direct hook for a future ``repro serve`` ``/metrics`` endpoint.
 
@@ -83,8 +82,8 @@ class Counter:
     """A typed handle on one monotone counter of a registry.
 
     The value lives in the registry's shared ``counters`` dict (the same
-    dict the tracer's flat view reads), so handles and historical
-    ``STATS.count`` call sites observe each other.
+    dict the tracer's flat view reads), so handles and ``TRACER.count``
+    call sites observe each other.
     """
 
     __slots__ = ("name", "_registry")
@@ -262,8 +261,8 @@ class MetricsRegistry:
 
     ``counters`` is a plain dict shared with the owning tracer's flat view
     (see :class:`repro.obs.tracer.Tracer`), so the registry sees every
-    historical ``STATS.count`` call and the tracer's ``--stats`` report
-    sees every typed :class:`Counter` bump.  ``_count_hook`` is how the
+    ``TRACER.count`` call and the tracer's ``--stats`` report sees every
+    typed :class:`Counter` bump.  ``_count_hook`` is how the
     tracer injects span-attribution: when set, typed increments route
     through ``Tracer.count`` so they are also charged to the active span.
     """
@@ -324,14 +323,10 @@ class MetricsRegistry:
                            if self.histograms[k].count},
         }
 
-    def to_wire(self, counters: bool = True) -> dict:
-        """The mergeable serialised registry.
-
-        ``counters=False`` omits counters — the batch stats protocol
-        already ships counter deltas through its historical channel, and
-        shipping them twice would double-count on merge.
-        """
-        wire: dict = {
+    def to_wire(self) -> dict:
+        """The mergeable serialised registry."""
+        return {
+            "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
             # Empty histograms (a pre-registered handle never observed)
             # carry no information; keep them off the wire.
@@ -339,14 +334,12 @@ class MetricsRegistry:
                            for k in sorted(self.histograms)
                            if self.histograms[k].count},
         }
-        if counters:
-            wire["counters"] = {k: self.counters[k]
-                                for k in sorted(self.counters)}
-        return wire
 
     def merge_wire(self, wire: dict) -> None:
-        """Fold a worker registry's wire form in (associative per metric:
-        counters add, gauges last-write-win, histograms merge)."""
+        """Fold a worker registry's wire form in.  Counters add and
+        histograms merge, both associatively and commutatively; gauges are
+        last-write-wins, so a gauge's merged value depends on merge
+        order."""
         for name, delta in wire.get("counters", {}).items():
             self.inc(name, delta)
         self.gauges.update(wire.get("gauges", {}))

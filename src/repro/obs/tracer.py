@@ -1,26 +1,24 @@
-"""Hierarchical span tracer — the engine's structured timing substrate.
+"""Hierarchical span tracer — the engine's one observability entry point.
 
 The synthesis pipeline is a tree of stages (a sweep contains jobs, a job
 contains schedule/space solves, a verification contains compile and machine
-passes), but the historical :data:`~repro.util.instrument.STATS` registry
-flattened all of it into two dicts.  The :class:`Tracer` keeps that flat
-view — every existing ``--stats`` consumer and the sweep stat-merge protocol
-still read ``counters``/``timers`` exactly as before — and additionally
-builds a tree of :class:`Span` nodes when tracing is *enabled*:
+passes).  The :class:`Tracer` keeps flat ``counters``/``timers`` that are
+always on — the ``--stats`` report and run records read them — and
+additionally builds a tree of :class:`Span` nodes when tracing is
+*enabled*:
 
 * :meth:`Tracer.span` is a re-entrant context manager.  Nested spans become
   children of the active span; re-entering the *same* stage name only
   charges the outermost frame to the flat timer, so recursive stages
   (``verify.compile`` under a warm-cache path) no longer double-count.
 * When tracing is disabled the fast path allocates no span nodes — one dict
-  bump for the re-entrancy depth and one for the timer, same cost profile
-  the flat registry always had.
-* Span trees serialise to plain dicts (:meth:`Span.to_dict`) and merge back
-  with :meth:`Tracer.graft`, which is how ``core.batch`` workers ship their
-  trees across process boundaries alongside the counter deltas.
+  bump for the re-entrancy depth and one for the timer.
+* :meth:`Tracer.to_wire` serialises everything recorded — counters,
+  timers, gauges, histograms and span trees — into one JSON-safe dict, and
+  :meth:`Tracer.merge_wire` folds such a dict back in.  That wire is the
+  only format ``core.batch`` sweep workers use to report to the parent.
 
-The process-wide instance is :data:`TRACER`; ``repro.util.instrument.STATS``
-is the same object under its historical name.
+The process-wide instance is :data:`TRACER`.
 """
 
 from __future__ import annotations
@@ -101,9 +99,8 @@ def render_spans(spans: "list[Span]", indent: str = "  ") -> str:
 class Tracer:
     """Flat counters/timers plus an optional hierarchical span tree.
 
-    The flat ``counters``/``timers`` dicts are always maintained — they are
-    the backward-compatible :class:`~repro.util.instrument.Instrumentation`
-    surface.  The span tree is only built while :attr:`enabled` is true.
+    The flat ``counters``/``timers`` dicts are always maintained.  The span
+    tree is only built while :attr:`enabled` is true.
 
     ``clock`` is injectable for deterministic tests.
     """
@@ -112,7 +109,7 @@ class Tracer:
                  metrics: "MetricsRegistry | None" = None) -> None:
         #: The typed metrics registry this tracer publishes into.  The
         #: flat ``counters`` dict *is* the registry's counter store, so the
-        #: historical view and the typed view can never drift; typed
+        #: flat view and the typed view can never drift; typed
         #: handles route increments back through :meth:`count` (the
         #: registry's ``_count_hook``) so they gain span attribution.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -190,10 +187,6 @@ class Tracer:
                 if self._stack and self._stack[-1] is node:
                     self._stack.pop()
 
-    #: historical name of :meth:`span` — every call site predating the
-    #: tracer uses ``STATS.stage(...)``.
-    stage = span
-
     def annotate(self, **attrs) -> None:
         """Attach attributes to the active span (no-op when tracing is off)."""
         if self.enabled and self._stack:
@@ -210,7 +203,7 @@ class Tracer:
 
     def graft(self, data: dict) -> Span:
         """Attach a serialised span tree (from a worker process) under the
-        active span — the tree merge counterpart of the counter-delta merge."""
+        active span."""
         span = Span.from_dict(data)
         parent = self._stack[-1] if self._stack else None
         (parent.children if parent else self._roots).append(span)
@@ -220,6 +213,40 @@ class Tracer:
         """Drop a root span (worker hygiene after shipping its tree)."""
         if span is not None and span in self._roots:
             self._roots.remove(span)
+
+    # -- wire ----------------------------------------------------------------
+
+    def to_wire(self) -> dict:
+        """Everything recorded, as one mergeable JSON-safe dict: the
+        registry wire (counters, gauges, histograms) plus flat ``timers``
+        and every root span tree under ``spans``."""
+        wire = self.metrics.to_wire()
+        wire["timers"] = {k: self.timers[k] for k in sorted(self.timers)}
+        wire["spans"] = self.span_dicts()
+        return wire
+
+    def merge_wire(self, wire: dict) -> None:
+        """Fold another tracer's :meth:`to_wire` output in.  Counters add
+        (charged to the active span, as a local :meth:`count` is), timers
+        add, gauges and histograms merge as in
+        :meth:`MetricsRegistry.merge_wire`, and span trees are grafted under
+        the active span while tracing is on."""
+        self.metrics.merge_wire(wire)
+        for name, value in wire.get("timers", {}).items():
+            self.timers[name] = self.timers.get(name, 0.0) + value
+        if self.enabled:
+            for span_dict in wire.get("spans", ()):
+                self.graft(span_dict)
+
+    def delta(self, since: dict) -> dict:
+        """The counters and timers that moved since an earlier
+        :meth:`snapshot`, as their change — a wire of counts that have
+        already accrued here."""
+        now = self.snapshot()
+        return {section: {k: v - since[section].get(k, 0)
+                          for k, v in now[section].items()
+                          if v != since[section].get(k, 0)}
+                for section in ("counters", "timers")}
 
     # -- reporting -----------------------------------------------------------
 
@@ -245,7 +272,7 @@ class Tracer:
         return "\n".join(lines)
 
 
-#: The process-wide tracer.  ``repro.util.instrument.STATS`` is this object.
+#: The process-wide tracer.
 TRACER = Tracer()
 
 #: The process-wide typed metrics registry (the tracer's).

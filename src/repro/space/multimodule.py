@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.deps.vectors import DependenceMatrix
+from repro.obs import TRACER
 from repro.schedule.constraints import GlobalConstraint
 from repro.schedule.linear import LinearSchedule
 from repro.space.allocation import (
@@ -38,7 +39,6 @@ from repro.space.allocation import (
 )
 from repro.space.diophantine import LinkDecomposer
 from repro.util.errors import SynthesisError
-from repro.util.instrument import STATS
 
 
 class NoSpaceMapExists(SynthesisError):
@@ -163,8 +163,12 @@ def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
                              for cand in candidate_lists[gc.src_module]])
 
     adjacency_cache: dict[tuple[int, int, int], bool] = {}
+    # Hot loop: hits are counted locally and charged once after the search
+    # (no span opens inside it, so the same span receives the total).
+    cache_hits = 0
 
     def adjacency(gi: int, dst_ci: int, src_ci: int) -> bool:
+        nonlocal cache_hits
         if constraints[gi].instances == 0:
             return True
         key = (gi, dst_ci, src_ci)
@@ -174,7 +178,7 @@ def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
             verdict = _displacements_ok(disp, gc_gaps[gi], decomposer)
             adjacency_cache[key] = verdict
         else:
-            STATS.count("space.adjacency_cache_hits")
+            cache_hits += 1
         return verdict
 
     best_key: tuple | None = None
@@ -213,7 +217,9 @@ def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
         assignment.pop(prob.name, None)
 
     recurse(0)
-    STATS.count("space.assignments_examined", examined)
+    if cache_hits:
+        TRACER.count("space.adjacency_cache_hits", cache_hits)
+    TRACER.count("space.assignments_examined", examined)
     if best_assignment is None:
         raise NoSpaceMapExists(
             "no joint space mapping satisfies the global adjacency constraints")

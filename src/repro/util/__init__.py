@@ -1,7 +1,5 @@
-"""Small shared utilities: exact integer math, validation helpers and
-engine instrumentation."""
+"""Small shared utilities: exact integer math and validation helpers."""
 
-from repro.util.instrument import STATS, Instrumentation
 from repro.util.intmath import (
     extended_gcd,
     gcd_vector,
@@ -11,8 +9,6 @@ from repro.util.intmath import (
 )
 
 __all__ = [
-    "STATS",
-    "Instrumentation",
     "extended_gcd",
     "gcd_vector",
     "integer_solve",

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import SweepSpec, SynthesisOptions, run_sweep
 from repro.core.batch import _execute_job
+from repro.obs import TRACER
 from repro.report import sweep_pareto_table, sweep_table
-from repro.util.instrument import STATS
 
 SMOKE = SweepSpec(
     problems=("dp", "conv-backward"),
@@ -82,46 +82,46 @@ class TestSweepSmoke:
 
 
 class TestStatsProtocol:
-    """The worker/serial split of the global STATS registry.
+    """The worker/serial split of the global tracer.
 
     Regression: the serial fallback used to reset the process-wide
     registry the way a pool worker does, wiping whatever the caller had
     accumulated before the sweep."""
 
     def test_serial_sweep_preserves_caller_stats(self, tmp_path):
-        STATS.count("sentinel.before_sweep", 7)
+        TRACER.count("sentinel.before_sweep", 7)
         try:
             run_sweep(SMOKE, workers=0, cache_dir=tmp_path,
                       cross_check=False)
-            assert STATS.counters["sentinel.before_sweep"] == 7
+            assert TRACER.counters["sentinel.before_sweep"] == 7
         finally:
-            STATS.counters.pop("sentinel.before_sweep", None)
+            TRACER.counters.pop("sentinel.before_sweep", None)
 
     def test_serial_job_reports_own_delta_only(self, tmp_path):
         job = SMOKE.jobs()[0]
-        STATS.count("sentinel.noise", 3)
+        TRACER.count("sentinel.noise", 3)
         try:
             result = _execute_job(job, str(tmp_path), True)
             assert "sentinel.noise" not in result.stats.get("counters", {})
             assert result.stats["counters"]      # the job did count things
         finally:
-            STATS.counters.pop("sentinel.noise", None)
+            TRACER.counters.pop("sentinel.noise", None)
 
     def test_worker_mode_resets_registry(self, tmp_path):
         job = SMOKE.jobs()[0]
-        STATS.count("sentinel.parent_only", 5)
+        TRACER.count("sentinel.parent_only", 5)
         try:
             result = _execute_job(job, str(tmp_path), True, in_worker=True)
             # The worker path starts from a clean registry, so the parent's
             # sentinel neither leaks into the delta nor survives the reset.
             assert "sentinel.parent_only" not in result.stats["counters"]
-            assert "sentinel.parent_only" not in STATS.counters
+            assert "sentinel.parent_only" not in TRACER.counters
         finally:
-            STATS.counters.pop("sentinel.parent_only", None)
+            TRACER.counters.pop("sentinel.parent_only", None)
 
     def test_worker_ships_span_tree_when_tracing(self, tmp_path):
         job = SMOKE.jobs()[0]
-        was_enabled = STATS.enabled
+        was_enabled = TRACER.enabled
         try:
             result = _execute_job(job, str(tmp_path), True, tracing=True,
                                   in_worker=True)
@@ -129,24 +129,24 @@ class TestStatsProtocol:
             assert shipped and shipped[0]["name"] == "sweep.job"
             # Worker hygiene: the shipped tree is discarded locally so a
             # reused pool process does not accumulate span forests.
-            assert not any(s.name == "sweep.job" for s in STATS.spans())
+            assert not any(s.name == "sweep.job" for s in TRACER.spans())
         finally:
-            STATS.enabled = was_enabled
-            STATS.reset()
+            TRACER.enabled = was_enabled
+            TRACER.reset()
 
     def test_parallel_sweep_merges_worker_spans(self, tmp_path):
-        was_enabled = STATS.enabled
-        STATS.reset()
-        STATS.enable()
+        was_enabled = TRACER.enabled
+        TRACER.reset()
+        TRACER.enable()
         try:
             run_sweep(SMOKE, workers=2, cache_dir=tmp_path,
                       cross_check=False)
-            names = {s.name for root in STATS.spans()
+            names = {s.name for root in TRACER.spans()
                      for s in _walk(root)}
             assert "sweep.job" in names      # grafted from the workers
         finally:
-            STATS.enabled = was_enabled
-            STATS.reset()
+            TRACER.enabled = was_enabled
+            TRACER.reset()
 
 
 def _walk(span):
@@ -276,7 +276,7 @@ class TestWorkerCrashRecovery:
     def test_sweep_survives_worker_death(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_CRASH_SENTINEL",
                            str(tmp_path / "crashed"))
-        before = STATS.snapshot()["counters"]
+        before = TRACER.snapshot()["counters"]
         # use_cache=False: the parent must not run the crashing builder
         # during the cache probe, and the pool path must stay exercised.
         report = run_sweep(self._jobs(), workers=2, use_cache=False,
@@ -285,7 +285,7 @@ class TestWorkerCrashRecovery:
         assert len(report.results) == 3
         assert all(r.ok for r in report.results)
         assert sorted(r.params["n"] for r in report.results) == [4, 5, 6]
-        after = STATS.snapshot()["counters"]
+        after = TRACER.snapshot()["counters"]
         retries = after.get("sweep.worker_retries", 0) \
             - before.get("sweep.worker_retries", 0)
         assert retries >= 1
@@ -296,10 +296,10 @@ class TestWorkerCrashRecovery:
         monkeypatch.setenv("REPRO_TEST_CRASH_SENTINEL",
                            str(tmp_path / "crashed"))
         counter = "space.assignments_examined"
-        before = STATS.snapshot()["counters"].get(counter, 0)
+        before = TRACER.snapshot()["counters"].get(counter, 0)
         report = run_sweep(self._jobs(), workers=2, use_cache=False,
                            cross_check=False)
-        after = STATS.snapshot()["counters"].get(counter, 0)
+        after = TRACER.snapshot()["counters"].get(counter, 0)
         # The parent's accumulated delta must equal the sum of the
         # per-job deltas exactly — a salvaged-then-retried job that
         # merged twice would overshoot.
@@ -307,6 +307,51 @@ class TestWorkerCrashRecovery:
                        for r in report.results)
         assert expected > 0
         assert after - before == expected
+
+
+#: Counters and gauges that describe how a sweep was dispatched, not what
+#: its jobs did; they legitimately differ between serial and pooled runs.
+SCHEDULING = {"sweep.chunks", "sweep.steals", "sweep.workers",
+              "sweep.worker_retries"}
+
+
+class TestSerialParallelParity:
+    """The one worker wire must carry everything a job records: a traced
+    sweep reports the same metrics whether its jobs ran in-process or in a
+    pool."""
+
+    def _traced(self, workers):
+        was_enabled = TRACER.enabled
+        TRACER.reset()
+        TRACER.enable()
+        try:
+            run_sweep(SMOKE, workers=workers, use_cache=False,
+                      cross_check=False)
+            return TRACER.to_wire()
+        finally:
+            TRACER.enabled = was_enabled
+            TRACER.reset()
+
+    def test_traced_metrics_match(self):
+        # Warm the process-wide point-set cache first, so forked workers
+        # and the serial path see the same hit/miss split.
+        run_sweep(SMOKE, workers=0, use_cache=False, cross_check=False)
+        serial = self._traced(0)
+        pooled = self._traced(2)
+
+        def counters(wire):
+            return {k: v for k, v in wire["counters"].items()
+                    if k not in SCHEDULING}
+
+        assert counters(serial) and counters(pooled) == counters(serial)
+        assert set(pooled["timers"]) == set(serial["timers"])
+
+        def stage_counts(wire):
+            return {name: wire["histograms"][name]["count"]
+                    for name in wire["timers"]}
+
+        assert stage_counts(pooled) == stage_counts(serial)
+        assert stage_counts(serial)["sweep.job"] == len(SMOKE.jobs())
 
 
 class TestMergeDedup:
@@ -318,32 +363,32 @@ class TestMergeDedup:
         from repro.core.batch import _merge_stats
 
         merged = set()
-        before = STATS.snapshot()["counters"]
+        before = TRACER.snapshot()["counters"]
         try:
             _merge_stats(self._delta(), job_key="job-a", merged=merged)
             _merge_stats(self._delta(), job_key="job-a", merged=merged)
-            after = STATS.snapshot()["counters"]
+            after = TRACER.snapshot()["counters"]
             assert after["sentinel.merge"] \
                 - before.get("sentinel.merge", 0) == 5
             assert after.get("sweep.merge_deduped", 0) \
                 - before.get("sweep.merge_deduped", 0) == 1
         finally:
-            STATS.counters.pop("sentinel.merge", None)
-            STATS.timers.pop("sentinel.timer", None)
+            TRACER.counters.pop("sentinel.merge", None)
+            TRACER.timers.pop("sentinel.timer", None)
 
     def test_distinct_keys_both_merge(self):
         from repro.core.batch import _merge_stats
 
         merged = set()
-        before = STATS.snapshot()["counters"].get("sentinel.merge", 0)
+        before = TRACER.snapshot()["counters"].get("sentinel.merge", 0)
         try:
             _merge_stats(self._delta(), job_key="job-a", merged=merged)
             _merge_stats(self._delta(), job_key="job-b", merged=merged)
-            after = STATS.snapshot()["counters"]["sentinel.merge"]
+            after = TRACER.snapshot()["counters"]["sentinel.merge"]
             assert after - before == 10
         finally:
-            STATS.counters.pop("sentinel.merge", None)
-            STATS.timers.pop("sentinel.timer", None)
+            TRACER.counters.pop("sentinel.merge", None)
+            TRACER.timers.pop("sentinel.timer", None)
 
     def test_telemetry_wire_merges_into_registry(self):
         from repro.core.batch import _merge_stats
@@ -351,17 +396,15 @@ class TestMergeDedup:
 
         hist = Histogram("sentinel.stage")
         hist.observe(0.125)
-        delta = {"counters": {},
-                 "telemetry": {"gauges": {"sentinel.gauge": 2.5},
-                               "histograms": {"sentinel.stage":
-                                              hist.to_wire()}}}
+        delta = {"counters": {}, "gauges": {"sentinel.gauge": 2.5},
+                 "histograms": {"sentinel.stage": hist.to_wire()}}
         try:
             _merge_stats(delta, job_key="job-t", merged=set())
-            assert STATS.metrics.gauges["sentinel.gauge"] == 2.5
-            assert STATS.metrics.histograms["sentinel.stage"].count == 1
+            assert TRACER.metrics.gauges["sentinel.gauge"] == 2.5
+            assert TRACER.metrics.histograms["sentinel.stage"].count == 1
         finally:
-            STATS.metrics.gauges.pop("sentinel.gauge", None)
-            STATS.metrics.histograms.pop("sentinel.stage", None)
+            TRACER.metrics.gauges.pop("sentinel.gauge", None)
+            TRACER.metrics.histograms.pop("sentinel.stage", None)
 
 
 class TestDefaultWorkers:
@@ -387,4 +430,4 @@ class TestDefaultWorkers:
 
     def test_sweep_publishes_worker_gauge(self, tmp_path):
         run_sweep(SMOKE, workers=2, use_cache=False, cross_check=False)
-        assert STATS.metrics.gauges["sweep.workers"] == 2
+        assert TRACER.metrics.gauges["sweep.workers"] == 2

@@ -299,10 +299,10 @@ class TestPrune:
         assert len(cache) == 1
 
     def test_eviction_counters(self, tmp_path):
-        from repro.util.instrument import STATS
+        from repro.obs import TRACER
 
         cache = DesignCache(tmp_path)
         cache.store("abcd" + "0" * 6, {"status": "ok"})
-        before = STATS.metrics.counter("cache.evictions").value
+        before = TRACER.metrics.counter("cache.evictions").value
         cache.prune(max_age_days=0)
-        assert STATS.metrics.counter("cache.evictions").value == before + 1
+        assert TRACER.metrics.counter("cache.evictions").value == before + 1

@@ -9,9 +9,9 @@ from repro.core.scheduler import (
     WorkStealingScheduler,
     job_class,
 )
+from repro.obs import TRACER
 from repro.obs.telemetry import MetricsRegistry
 from repro.report import sweep_table
-from repro.util.instrument import STATS
 
 GRID = SweepSpec(
     problems=("dp", "conv-backward"),
@@ -98,11 +98,11 @@ class TestDealingAndStealing:
         # worker 1's tail.
         while deques[0]:
             sched._next_chunk(0, deques)
-        before = STATS.metrics.counter("sweep.steals").value
+        before = TRACER.metrics.counter("sweep.steals").value
         victim_tail = deques[1][-1]
         chunk = sched._next_chunk(0, deques)
         assert victim_tail in chunk
-        assert STATS.metrics.counter("sweep.steals").value == before + 1
+        assert TRACER.metrics.counter("sweep.steals").value == before + 1
 
     def test_steal_preserves_homogeneity_at_the_tail(self):
         jobs = GRID.jobs()
@@ -133,9 +133,9 @@ class TestSchedulerExecution:
         assert len(report.results) == len(jobs)
 
     def test_counts_chunks(self):
-        before = STATS.metrics.counter("sweep.chunks").value
+        before = TRACER.metrics.counter("sweep.chunks").value
         run_sweep(GRID, workers=2, use_cache=False, cross_check=False)
-        assert STATS.metrics.counter("sweep.chunks").value > before
+        assert TRACER.metrics.counter("sweep.chunks").value > before
 
 
 class TestEngineStatsDedup:

@@ -64,7 +64,7 @@ class TestCounterGauge:
 
     def test_count_hook_routes_through_tracer_span(self):
         """A typed increment must gain span attribution, exactly like a
-        historical STATS.count call."""
+        direct Tracer.count call."""
         tracer = Tracer()
         tracer.enable()
         handle = tracer.metrics.counter("hits")
@@ -234,12 +234,6 @@ class TestRegistry:
         reg.histogram("pre.registered")
         assert reg.to_wire()["histograms"] == {}
         assert reg.snapshot()["histograms"] == {}
-
-    def test_wire_counters_optional(self):
-        reg = MetricsRegistry()
-        reg.inc("c")
-        assert "counters" in reg.to_wire()
-        assert "counters" not in reg.to_wire(counters=False)
 
     def test_merge_wire_full_registry(self):
         a = MetricsRegistry()
