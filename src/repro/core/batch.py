@@ -358,12 +358,14 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
     outcome — the solved design, or the failure as a negative entry.
 
     Stats protocol: a *worker* process resets the global tracer, so its
-    :meth:`~repro.obs.Tracer.to_wire` after the solve is exactly the job's
-    delta — counters, timers, gauges, histograms and, with ``tracing``, the
-    job's span subtree — and that wire is ``result.stats``.  On the serial
-    fallback the tracer belongs to the caller and is **left untouched**:
-    the job accrues into it directly and ``result.stats`` holds only the
-    counter and timer :meth:`~repro.obs.Tracer.delta` of this job.
+    :meth:`~repro.obs.Tracer.to_wire` at the end of the job — after the
+    solve, the seeded verification and the cache write — is exactly the
+    job's delta: counters, timers, gauges, histograms and, with
+    ``tracing``, the job's span trees.  That wire is ``result.stats``.  On
+    the serial fallback the tracer belongs to the caller and is **left
+    untouched**: the job accrues into it directly and ``result.stats``
+    holds only the counter and timer :meth:`~repro.obs.Tracer.delta` of
+    this job.
     """
     if in_worker:
         TRACER.reset()
@@ -373,7 +375,7 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
     before = None if in_worker else TRACER.snapshot()
     system = job.builder()
     key = cache_key(system, job.params_dict, job.interconnect, job.options)
-    with TRACER.span("sweep.job", job=job.label()) as job_span:
+    with TRACER.span("sweep.job", job=job.label()):
         try:
             design = synthesize(system, job.params_dict, job.interconnect,
                                 job.options)
@@ -382,13 +384,6 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
             design = None
             error = exc
     wall = time.perf_counter() - t0
-    if in_worker:
-        delta = TRACER.to_wire()
-        # Drop the shipped subtree so a reused pool process does not grow
-        # an unbounded span forest.
-        TRACER.discard(job_span)
-    else:
-        delta = TRACER.delta(before)
     if design is not None:
         result = SweepResult(
             problem=job.problem, params=job.params_dict,
@@ -396,7 +391,7 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
             engine=f"{job.options.engine}",
             cells=design.cell_count,
             completion_time=design.completion_time,
-            wall_time=wall, solve_time=wall, stats=delta,
+            wall_time=wall, solve_time=wall,
             design_payload=design.to_dict())
         if job.verify_seeds > 0:
             _verify_result(job, design, result)
@@ -407,7 +402,7 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
             problem=job.problem, params=job.params_dict,
             interconnect=job.interconnect.name, key=key, ok=False,
             engine=f"{job.options.engine}",
-            wall_time=wall, solve_time=wall, stats=delta,
+            wall_time=wall, solve_time=wall,
             error_type=type(error).__name__, error=str(error),
             error_module=error.module)
         if use_cache:
@@ -418,6 +413,14 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
                 "error_module": error.module,
                 "solve_time": wall,
             })
+    if in_worker:
+        result.stats = TRACER.to_wire()
+        # Drop the shipped span trees so a reused pool process does not
+        # grow an unbounded span forest.
+        for span in TRACER.spans():
+            TRACER.discard(span)
+    else:
+        result.stats = TRACER.delta(before)
     return result
 
 

@@ -11,7 +11,9 @@ A design passes when *both* of these agree:
    evaluator's results bit for bit.
 
 The checks are deliberately independent of the solvers: they re-derive
-everything from the system and the (T, S) assignments.
+everything from the system and the (T, S) assignments, and share no code
+with :mod:`repro.space` — conflict-freedom and flow realisability are
+computed here again, straight from the paper's equations (2) and (3).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from repro.machine.native import nativize
 from repro.machine.simulator import MachineStats, run
 from repro.machine.vector import vectorize
 from repro.obs import TRACER
-from repro.space.allocation import conflict_free, flows_realisable
 
 ENGINES = _ENGINES  # historical name; the registry lives in machine.engines
 
@@ -67,10 +68,48 @@ class VerificationReport:
         return f"VerificationReport({status})"
 
 
-def _symbolic_checks(design: Design, report: VerificationReport,
-                     decomposer) -> None:
+def _stamps_distinct(schedule, space, points: np.ndarray) -> bool:
+    """Eq. (2): no two computations share both time ``T x`` and cell
+    ``S x``."""
+    times = points @ np.array(schedule.coeffs, dtype=np.int64)
+    cells = (points @ np.array(space.matrix, dtype=np.int64).T
+             + np.array(space.offset, dtype=np.int64))
+    stamps = np.column_stack([times, cells]).tolist()
+    return len(set(map(tuple, stamps))) == len(stamps)
+
+
+def _within_hops(moves, target: tuple[int, ...], budget: int) -> bool:
+    """Whether ``target`` is a sum of at most ``budget`` link vectors
+    (idling fills the remaining cycles)."""
+    if budget < 0:
+        return False
+    reached = {tuple(0 for _ in target)}
+    frontier = set(reached)
+    for _ in range(budget):
+        if target in reached or not frontier:
+            break
+        frontier = {tuple(a + b for a, b in zip(p, mv))
+                    for p in frontier for mv in moves} - reached
+        reached |= frontier
+    return target in reached
+
+
+def _flows_reachable(deps, schedule, space, moves) -> bool:
+    """Eq. (3): every dependence ``d`` moves its datum ``S d`` cells in
+    ``T d`` cycles, at most one link hop per cycle."""
+    for d in deps.matrix().T.tolist():
+        slack = sum(c * v for c, v in zip(schedule.coeffs, d))
+        shift = tuple(sum(c * v for c, v in zip(row, d))
+                      for row in space.matrix)
+        if not _within_hops(moves, shift, slack):
+            return False
+    return True
+
+
+def _symbolic_checks(design: Design, report: VerificationReport) -> None:
     """Conditions (1)–(3) and the global gaps — value-independent."""
     deps = system_dependence_matrices(design.system)
+    moves = design.interconnect.moves()
     for name in design.system.modules:
         sched = design.schedules[name]
         smap = design.space_maps[name]
@@ -79,13 +118,12 @@ def _symbolic_checks(design: Design, report: VerificationReport,
             report.failures.append(
                 f"module {name}: T violates condition (1) on "
                 f"{sched.violated(deps[name])}")
-        pts = design.module_points(name)
-        if not conflict_free(sched, smap, pts):
+        if not _stamps_distinct(sched, smap, design.module_points(name)):
             report.conflict_free = False
             report.failures.append(
                 f"module {name}: two computations share (time, cell)")
-        if len(deps[name]) and not flows_realisable(
-                deps[name], sched, smap, decomposer):
+        if len(deps[name]) and not _flows_reachable(
+                deps[name], sched, smap, moves):
             report.flows_ok = False
             report.failures.append(
                 f"module {name}: some dependence flow is not realisable")
@@ -289,7 +327,7 @@ def verify_design(design: Design, inputs,
              report.global_gaps_ok, report.flows_ok) = flags
             report.failures.extend(failures)
         else:
-            _symbolic_checks(design, report, decomposer)
+            _symbolic_checks(design, report)
             if cache is not None:
                 cache["symbolic"] = (
                     (report.schedule_valid, report.conflict_free,

@@ -15,9 +15,9 @@ The historical one-shot ``synthesize`` body is re-expressed as:
    escalation), normalised to start at cycle 0.
 4. ``allocate`` — joint space maps under flow realisability,
    conflict-freedom and adjacency, with plan escalation; every candidate
-   is compile-checked on a value-free trace (link bandwidth is outside
-   the solvers' model) and the winning candidate's microcode skeleton is
-   kept on the state.
+   that could win is compile-checked on a value-free trace (link
+   bandwidth is outside the solvers' model) and the winning candidate's
+   microcode skeleton is kept on the state.
 5. ``lower-microcode`` — package the :class:`~repro.core.design.Design`
    and guarantee the cell program exists (compiling it if a custom
    pipeline skipped the allocate-time check).
@@ -165,8 +165,8 @@ class AllocatePass(Pass):
     name = "allocate"
     description = ("jointly solve space maps (adjacency, conflict-freedom, "
                    "flow realisability; plan escalation), compile-checking "
-                   "every candidate's placement and routing on a value-free "
-                   "trace")
+                   "the placement and routing of every candidate that could "
+                   "win on a value-free trace")
 
     def run(self, state: PipelineState) -> PipelineState:
         system: RecurrenceSystem = state.require("system", "decompose-chains")
@@ -215,24 +215,33 @@ class AllocatePass(Pass):
             candidate's placement and routing over a value-free trace;
             returns ``(microcode, None)`` or ``(None, failure)``."""
             nonlocal check_trace
-            if check_trace is None:
-                check_trace = structural_trace(system, params)
-            try:
-                mc = compile_design(check_trace, schedules, candidate.maps,
-                                    decomposer)
-            except MachineError as exc:
-                return None, NoSpaceMapExists(
-                    f"space solution does not lower: "
-                    f"{type(exc).__name__}: {exc}")
+            with TRACER.span("space.lowering_check"):
+                if check_trace is None:
+                    check_trace = structural_trace(system, params)
+                try:
+                    mc = compile_design(check_trace, schedules,
+                                        candidate.maps, decomposer)
+                except MachineError as exc:
+                    return None, NoSpaceMapExists(
+                        f"space solution does not lower: "
+                        f"{type(exc).__name__}: {exc}")
             return mc, None
 
         with TRACER.span("synthesize.space"):
+            solved: list[dict] = []
             for plan in plans:
+                offsets = {name: tuple(offsets_for(name, plan))
+                           for name in system.modules}
+                # A plan that repeats a solved plan's offsets is the same
+                # problem and would give the same outcome.
+                if offsets in solved:
+                    continue
+                solved.append(offsets)
                 space_problems = [
                     ModuleSpaceProblem(name, system.modules[name].dims,
                                        deps[name], points[name],
                                        schedules[name], bound=space_bound,
-                                       offsets=offsets_for(name, plan))
+                                       offsets=offsets[name])
                     for name in system.modules]
                 try:
                     candidate = solve_multimodule_space(
@@ -241,12 +250,16 @@ class AllocatePass(Pass):
                 except NoSpaceMapExists as exc:
                     last_error = exc
                     continue
+                # Only a strictly smaller candidate can replace ``best``,
+                # and a lowering failure only matters while there is none.
+                if best is not None \
+                        and candidate.total_cells >= best.total_cells:
+                    continue
                 mc, failure = lowering(candidate)
                 if failure is not None:
                     last_error = failure
                     continue
-                if best is None or candidate.total_cells < best.total_cells:
-                    best, best_mc = candidate, mc
+                best, best_mc = candidate, mc
             if best is None:
                 # Final escalation: offsets everywhere.
                 space_problems = [

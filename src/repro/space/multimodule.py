@@ -12,12 +12,15 @@ global constraint is checked as soon as both endpoints are mapped.  The
 objective is the total number of distinct cells — the paper's Section VI
 motivation for the new design is exactly processor count.
 
-The backtracking revisits the same (constraint, dst map, src map) triples
-thousands of times as the other modules' assignments churn, so adjacency
-verdicts are memoized per candidate-index pair, endpoint times/cells are
-precomputed once per (constraint, candidate), and each candidate's occupied
-cell set and tie-break key are frozen up front — the hot loop is dictionary
-lookups.
+The search is table-driven.  One BFS gives the link-hop count of every
+displacement a constraint can ask about; each candidate's endpoint cells
+are one int64 key per instance, so the verdicts of one assigned candidate
+against all of the other module's candidates are a subtraction, a gather
+and a comparison — a boolean *compatibility row*.  Each level of the
+backtracking ANDs the rows of its constraints and visits only the
+surviving candidates (forward checking), in the same order as an
+unfiltered loop.  Occupied cells are sorted int64 keys, so the cell count
+of an assignment is the size of a union of arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from repro.schedule.constraints import GlobalConstraint
 from repro.schedule.linear import LinearSchedule
 from repro.space.allocation import (
     SpaceMap,
-    cells_used,
     entry_preference,
     enumerate_space_maps,
 )
@@ -68,35 +70,60 @@ class MultiSpaceSolution:
     candidates_examined: int
 
 
-def _displacements_ok(disp: np.ndarray, gaps: Sequence[int],
-                      decomposer: LinkDecomposer) -> bool:
-    """Constraint (10) over enumerated instances: every displacement must be
-    link-reachable within its time gap.  Reachability is monotone in the
-    budget, so only the *minimum* gap per distinct displacement matters."""
-    tightest: dict[tuple[int, ...], int] = {}
-    for row, gap in zip(disp.tolist(), gaps):
-        key = tuple(row)
-        prev = tightest.get(key)
-        if prev is None or gap < prev:
-            tightest[key] = gap
-    for displacement, budget in tightest.items():
-        if not decomposer.reachable_within(displacement, budget):
-            return False
-    return True
-
-
 def adjacency_ok(gc: GlobalConstraint,
                  dst_sched: LinearSchedule, src_sched: LinearSchedule,
                  dst_map: SpaceMap, src_map: SpaceMap,
                  decomposer: LinkDecomposer) -> bool:
-    """Check constraint (10) for every enumerated instance of a link."""
+    """Check constraint (10) for every enumerated instance of a link: each
+    displacement must be link-reachable within its time gap."""
     if gc.instances == 0:
         return True
-    dst_t = dst_sched.times(gc.dst_points)
-    src_t = src_sched.times(gc.src_points)
-    gaps = dst_t - src_t
+    gaps = dst_sched.times(gc.dst_points) - src_sched.times(gc.src_points)
     disp = dst_map.cells(gc.dst_points) - src_map.cells(gc.src_points)
-    return _displacements_ok(disp, gaps.tolist(), decomposer)
+    return all(decomposer.reachable_within(tuple(d), gap)
+               for d, gap in zip(disp.tolist(), gaps.tolist()))
+
+
+def _hop_table(decomposer: LinkDecomposer, lo: np.ndarray, hi: np.ndarray,
+               max_gap: int) -> np.ndarray:
+    """Link-hop count of every displacement in the box ``[lo, hi]``, flat in
+    C order; a displacement more than ``max_gap`` hops away reads
+    ``max_gap + 1``.
+
+    One BFS from the origin over ``decomposer.moves``.  A path of at most
+    ``max_gap`` hops never leaves ``max_gap`` times the moves' extreme
+    coordinates, so searching that box (widened to cover ``[lo, hi]``) finds
+    every hop count up to ``max_gap`` exactly."""
+    reach = max(max_gap, 0)
+    unreachable = reach + 1
+    dim = len(lo)
+    moves = np.array(decomposer.moves, dtype=np.int64).reshape(-1, dim)
+    grid_lo = np.minimum(lo, reach * moves.min(axis=0, initial=0))
+    grid_hi = np.maximum(hi, reach * moves.max(axis=0, initial=0))
+    shape = grid_hi - grid_lo + 1
+    hops = np.full(tuple(shape), unreachable, dtype=np.int64)
+    frontier = -grid_lo[None, :]
+    hops[tuple(frontier.T)] = 0
+    for hop in range(1, reach + 1):
+        nxt = (frontier[:, None, :] + moves[None, :, :]).reshape(-1, dim)
+        nxt = nxt[((nxt >= 0) & (nxt < shape)).all(axis=1)]
+        nxt = nxt[hops[tuple(nxt.T)] == unreachable]
+        if not len(nxt):
+            break
+        frontier = np.unique(nxt, axis=0)
+        hops[tuple(frontier.T)] = hop
+    box = tuple(slice(int(a), int(b) + 1)
+                for a, b in zip(lo - grid_lo, hi - grid_lo))
+    return np.ascontiguousarray(hops[box]).ravel()
+
+
+def _endpoint_cells(cands: Sequence[SpaceMap], points: np.ndarray
+                    ) -> np.ndarray:
+    """Cells of ``points`` under every candidate: ``(candidates, points,
+    label_dim)``, in one broadcast matmul."""
+    mats = np.array([cand.matrix for cand in cands], dtype=np.int64)
+    offs = np.array([cand.offset for cand in cands], dtype=np.int64)
+    return points @ mats.transpose(0, 2, 1) + offs[:, None, :]
 
 
 def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
@@ -119,110 +146,165 @@ def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
         check_at.setdefault(at, []).append(gi)
 
     candidate_lists: dict[str, list[SpaceMap]] = {}
-    for p in order:
-        cands = list(enumerate_space_maps(
-            p.dims, label_dim, p.deps, p.schedule, decomposer, p.points,
-            bound=p.bound, offsets=p.offsets))
-        if not cands:
-            raise NoSpaceMapExists(
-                f"module {p.name}: no locally feasible space map "
-                f"(bound={p.bound}, offsets={tuple(p.offsets)})",
-                module=p.name, bounds=(p.bound, tuple(p.offsets)))
-        candidate_lists[p.name] = cands
+    with TRACER.span("space.enumerate"):
+        for p in order:
+            cands = list(enumerate_space_maps(
+                p.dims, label_dim, p.deps, p.schedule, decomposer, p.points,
+                bound=p.bound, offsets=p.offsets))
+            if not cands:
+                raise NoSpaceMapExists(
+                    f"module {p.name}: no locally feasible space map "
+                    f"(bound={p.bound}, offsets={tuple(p.offsets)})",
+                    module=p.name, bounds=(p.bound, tuple(p.offsets)))
+            candidate_lists[p.name] = cands
 
-    # -- hoisted per-candidate data ------------------------------------------
-    # Occupied cells and tie-break key fragment of every candidate map.
-    cand_cells: dict[str, list[frozenset]] = {}
-    cand_key: dict[str, list[tuple]] = {}
-    for p in order:
-        cells_list = []
-        key_list = []
-        for cand in candidate_lists[p.name]:
-            cells_list.append(frozenset(cells_used(cand, p.points)))
-            key_list.append(tuple(
-                entry_preference(entry)
-                for row, off in zip(cand.matrix, cand.offset)
-                for entry in row + (off,)))
-        cand_cells[p.name] = cells_list
-        cand_key[p.name] = key_list
+    with TRACER.span("space.tables"):
+        # Occupied cells of every candidate as sorted mixed-radix keys, and
+        # its tie-break key fragment.  The radix covers |cell| <= cell_max
+        # in every coordinate of every candidate.
+        cell_max = 0
+        for p in order:
+            if len(p.points):
+                cands = candidate_lists[p.name]
+                mats = np.abs([cand.matrix for cand in cands])
+                offs = np.abs([cand.offset for cand in cands])
+                cell_max = max(cell_max, int(
+                    (mats @ np.abs(p.points).max(axis=0) + offs).max()))
+        cell_radix = (2 * cell_max + 1) ** np.arange(
+            label_dim - 1, -1, -1, dtype=np.int64)
+        cand_cells: list[list[np.ndarray]] = []
+        cand_key: list[list[tuple]] = []
+        for p in order:
+            cells_list = []
+            key_list = []
+            for cand in candidate_lists[p.name]:
+                cells = (cand.cells(p.points) + cell_max) @ cell_radix \
+                    if len(p.points) else np.zeros(0, dtype=np.int64)
+                cells_list.append(np.unique(cells))
+                key_list.append(tuple(
+                    entry_preference(entry)
+                    for row, off in zip(cand.matrix, cand.offset)
+                    for entry in row + (off,)))
+            cand_cells.append(cells_list)
+            cand_key.append(key_list)
 
-    # Per-constraint instance gaps (schedules are fixed for the whole solve)
-    # and per-(constraint, candidate) endpoint cells.
-    gc_gaps: list[list[int]] = []
-    gc_dst_cells: list[list[np.ndarray]] = []
-    gc_src_cells: list[list[np.ndarray]] = []
-    for gc in constraints:
-        dst_p = by_name[gc.dst_module]
-        src_p = by_name[gc.src_module]
-        gaps = (dst_p.schedule.times(gc.dst_points)
-                - src_p.schedule.times(gc.src_points))
-        gc_gaps.append(gaps.tolist())
-        gc_dst_cells.append([cand.cells(gc.dst_points)
-                             for cand in candidate_lists[gc.dst_module]])
-        gc_src_cells.append([cand.cells(gc.src_points)
-                             for cand in candidate_lists[gc.src_module]])
+        # Constraint (10) tables.  Per constraint: instance gaps (schedules
+        # are fixed for the whole solve) and endpoint cells of every
+        # candidate; one box bounds every (dst cell - src cell)
+        # displacement, and one BFS gives the hop count of each.
+        linked = [gi for gi, gc in enumerate(constraints) if gc.instances]
+        gaps: dict[int, np.ndarray] = {}
+        ends: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for gi in linked:
+            gc = constraints[gi]
+            gaps[gi] = (by_name[gc.dst_module].schedule.times(gc.dst_points)
+                        - by_name[gc.src_module].schedule.times(gc.src_points))
+            ends[gi] = (
+                _endpoint_cells(candidate_lists[gc.dst_module],
+                                gc.dst_points),
+                _endpoint_cells(candidate_lists[gc.src_module],
+                                gc.src_points))
+        dst_keys: dict[int, np.ndarray] = {}
+        src_keys: dict[int, np.ndarray] = {}
+        hops = np.zeros(0, dtype=np.int64)
+        if linked:
+            lo = np.min([dst.min(axis=(0, 1)) - src.max(axis=(0, 1))
+                         for dst, src in ends.values()], axis=0)
+            hi = np.max([dst.max(axis=(0, 1)) - src.min(axis=(0, 1))
+                         for dst, src in ends.values()], axis=0)
+            hops = _hop_table(decomposer, lo, hi,
+                              max(int(gaps[gi].max()) for gi in linked))
+            box = hi - lo + 1
+            strides = np.array(
+                [int(np.prod(box[c + 1:])) for c in range(len(box))],
+                dtype=np.int64)
+            # index of (dst cell - src cell) = dst key - src key
+            for gi, (dst, src) in ends.items():
+                dst_keys[gi] = (dst - lo) @ strides
+                src_keys[gi] = src @ strides
+        del ends
 
-    adjacency_cache: dict[tuple[int, int, int], bool] = {}
-    # Hot loop: hits are counted locally and charged once after the search
-    # (no span opens inside it, so the same span receives the total).
+    # Forward checking: the checks at each level are compatibility rows —
+    # for a constraint whose other endpoint is already assigned, the
+    # boolean vector of this module's candidates that satisfy (10) against
+    # it.  Rows are built on first use and cached per (constraint, side,
+    # assigned candidate).
+    rows: dict[tuple[int, bool, int], np.ndarray] = {}
+    # Hot loop: hits are counted locally and charged once after the search.
     cache_hits = 0
 
-    def adjacency(gi: int, dst_ci: int, src_ci: int) -> bool:
+    def row(gi: int, dst_assigned: bool, ci: int) -> np.ndarray:
         nonlocal cache_hits
-        if constraints[gi].instances == 0:
-            return True
-        key = (gi, dst_ci, src_ci)
-        verdict = adjacency_cache.get(key)
-        if verdict is None:
-            disp = gc_dst_cells[gi][dst_ci] - gc_src_cells[gi][src_ci]
-            verdict = _displacements_ok(disp, gc_gaps[gi], decomposer)
-            adjacency_cache[key] = verdict
+        key = (gi, dst_assigned, ci)
+        mask = rows.get(key)
+        if mask is None:
+            if dst_assigned:
+                index = dst_keys[gi][ci] - src_keys[gi]
+            else:
+                index = dst_keys[gi] - src_keys[gi][ci]
+            mask = rows[key] = (hops[index] <= gaps[gi]).all(axis=1)
         else:
             cache_hits += 1
-        return verdict
+        return mask
 
-    best_key: tuple | None = None
-    best_assignment: dict[str, int] | None = None
+    # Per level: a static mask (constraints between a module and itself)
+    # and the (constraint, dst side assigned, assigned module position)
+    # rows to AND in.
+    level_masks: list[np.ndarray] = []
+    level_rows: list[list[tuple[int, bool, int]]] = []
+    for idx, p in enumerate(order):
+        mask = np.ones(len(candidate_lists[p.name]), dtype=bool)
+        checks = []
+        for gi in check_at.get(idx, []):
+            if gi not in gaps:
+                continue
+            gc = constraints[gi]
+            if gc.dst_module == gc.src_module:
+                mask &= (hops[dst_keys[gi] - src_keys[gi]]
+                         <= gaps[gi]).all(axis=1)
+            elif gc.dst_module == p.name:
+                checks.append((gi, False, position[gc.src_module]))
+            else:
+                checks.append((gi, True, position[gc.dst_module]))
+        level_masks.append(mask)
+        level_rows.append(checks)
+
+    best_count: int | None = None
+    best_flat: tuple | None = None
+    best_assignment: list[int] | None = None
     examined = 0
-    assignment: dict[str, int] = {}    # module name -> candidate index
+    assignment: list[int] = []          # candidate index per module
+    depth = len(order)
 
-    def recurse(idx: int) -> None:
-        nonlocal best_key, best_assignment, examined
-        if idx == len(order):
+    def recurse(idx: int, union: np.ndarray) -> None:
+        nonlocal best_count, best_flat, best_assignment, examined
+        if idx == depth:
             examined += 1
-            all_cells: set = set()
-            for p in order:
-                all_cells |= cand_cells[p.name][assignment[p.name]]
-            flat = tuple(
-                entry for p in order
-                for entry in cand_key[p.name][assignment[p.name]])
-            key = (len(all_cells), flat)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_assignment = dict(assignment)
+            count = len(union)
+            if best_count is None or count <= best_count:
+                flat = tuple(entry for m, ci in enumerate(assignment)
+                             for entry in cand_key[m][ci])
+                if best_count is None or (count, flat) < (best_count,
+                                                          best_flat):
+                    best_count, best_flat = count, flat
+                    best_assignment = list(assignment)
             return
-        prob = order[idx]
-        checks = check_at.get(idx, [])
-        for ci in range(len(candidate_lists[prob.name])):
-            assignment[prob.name] = ci
-            ok = True
-            for gi in checks:
-                gc = constraints[gi]
-                if not adjacency(gi, assignment[gc.dst_module],
-                                 assignment[gc.src_module]):
-                    ok = False
-                    break
-            if ok:
-                recurse(idx + 1)
-        assignment.pop(prob.name, None)
+        mask = level_masks[idx]
+        for gi, dst_assigned, other in level_rows[idx]:
+            mask = mask & row(gi, dst_assigned, assignment[other])
+        for ci in np.flatnonzero(mask).tolist():
+            assignment.append(ci)
+            recurse(idx + 1, np.union1d(union, cand_cells[idx][ci]))
+            assignment.pop()
 
-    recurse(0)
+    with TRACER.span("space.search"):
+        recurse(0, np.zeros(0, dtype=np.int64))
     if cache_hits:
         TRACER.count("space.adjacency_cache_hits", cache_hits)
     TRACER.count("space.assignments_examined", examined)
     if best_assignment is None:
         raise NoSpaceMapExists(
             "no joint space mapping satisfies the global adjacency constraints")
-    maps = {name: candidate_lists[name][ci]
-            for name, ci in best_assignment.items()}
-    return MultiSpaceSolution(maps, best_key[0], examined)
+    maps = {p.name: candidate_lists[p.name][ci]
+            for p, ci in zip(order, best_assignment)}
+    return MultiSpaceSolution(maps, best_count, examined)

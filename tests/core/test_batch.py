@@ -1,5 +1,7 @@
 """Batch sweeps: the 2x2 smoke grid, caching, and the worker pool."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import SweepSpec, SynthesisOptions, run_sweep
@@ -320,24 +322,24 @@ class TestSerialParallelParity:
     sweep reports the same metrics whether its jobs ran in-process or in a
     pool."""
 
-    def _traced(self, workers):
+    def _traced(self, spec, workers, cache_dir=None):
         was_enabled = TRACER.enabled
         TRACER.reset()
         TRACER.enable()
         try:
-            run_sweep(SMOKE, workers=workers, use_cache=False,
-                      cross_check=False)
+            run_sweep(spec, workers=workers, use_cache=cache_dir is not None,
+                      cache_dir=cache_dir, cross_check=False)
             return TRACER.to_wire()
         finally:
             TRACER.enabled = was_enabled
             TRACER.reset()
 
-    def test_traced_metrics_match(self):
+    def _parity(self, spec, serial_dir=None, pooled_dir=None):
         # Warm the process-wide point-set cache first, so forked workers
         # and the serial path see the same hit/miss split.
         run_sweep(SMOKE, workers=0, use_cache=False, cross_check=False)
-        serial = self._traced(0)
-        pooled = self._traced(2)
+        serial = self._traced(spec, 0, serial_dir)
+        pooled = self._traced(spec, 2, pooled_dir)
 
         def counters(wire):
             return {k: v for k, v in wire["counters"].items()
@@ -352,6 +354,23 @@ class TestSerialParallelParity:
 
         assert stage_counts(pooled) == stage_counts(serial)
         assert stage_counts(serial)["sweep.job"] == len(SMOKE.jobs())
+        return pooled, stage_counts(pooled)
+
+    def test_traced_metrics_match(self):
+        self._parity(SMOKE)
+
+    def test_traced_metrics_match_with_cache_and_verify(self, tmp_path):
+        # Fresh jobs then also verify seeds and write the design cache
+        # after the solve; a worker must ship those records too.
+        pooled, stages = self._parity(
+            dataclasses.replace(SMOKE, verify_seeds=2),
+            tmp_path / "serial", tmp_path / "pooled")
+        # Every job is cached (failures as negative entries); every
+        # solved one is verified.
+        assert pooled["counters"]["cache.stores"] == len(SMOKE.jobs())
+        assert stages["sweep.verify"] > 0
+        assert pooled["counters"]["sweep.verified_seeds"] \
+            == 2 * stages["sweep.verify"]
 
 
 class TestMergeDedup:

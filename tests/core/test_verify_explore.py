@@ -1,14 +1,19 @@
 """Verification catches broken designs; exploration reproduces Tables 1/2."""
 
+import inspect
+import random
+
 import pytest
 
-from repro.arrays import LINEAR_BIDIR
+from repro.arrays import FIG1_UNIDIRECTIONAL, LINEAR_BIDIR, LINEAR_UNI
 from repro.core import (
     Design,
     explore_uniform,
     pareto_front,
     verify_design,
 )
+from repro.core.verify import _flows_reachable, _stamps_distinct, _within_hops
+from repro.deps import system_dependence_matrices
 from repro.problems import (
     classify_design,
     convolution_backward,
@@ -127,6 +132,77 @@ class TestVerifyDesign:
         report = verify_design(broken, dp_host_inputs)
         assert not report.ok
         assert not report.global_gaps_ok
+
+
+class TestIndependentOracle:
+    """``verify.py`` re-derives eqs. (2) and (3) itself; it must not reuse
+    the allocation code it checks, and must still catch what it catches."""
+
+    def test_no_allocation_import(self):
+        import ast
+
+        import repro.core.verify as verify
+
+        tree = ast.parse(inspect.getsource(verify))
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) for alias in node.names}
+        assert not any(name.startswith("repro.space") for name in imported)
+
+    def test_hand_built_collision(self, dp_design_fig1, dp_host_inputs):
+        # m1 is 3-D; projecting it onto its first coordinate alone puts
+        # every (j, k) of one i on the same cell, and m1's schedule gives
+        # equal times to some of them.
+        sched = dp_design_fig1.schedules["m1"]
+        smap = SpaceMap(sched.dims, ((1, 0, 0), (0, 0, 0)))
+        pts = dp_design_fig1.module_points("m1")
+        assert not _stamps_distinct(sched, smap, pts)
+        assert _stamps_distinct(sched, dp_design_fig1.space_maps["m1"], pts)
+        broken = Design(
+            system=dp_design_fig1.system, params=dp_design_fig1.params,
+            interconnect=dp_design_fig1.interconnect,
+            schedules=dp_design_fig1.schedules,
+            space_maps={**dp_design_fig1.space_maps, "m1": smap},
+            constraints=dp_design_fig1.constraints)
+        report = verify_design(broken, dp_host_inputs)
+        assert not report.conflict_free
+
+    def test_unrealisable_flow(self):
+        # Fig. 1 has links +x and -y only: no number of hops moves a datum
+        # one cell in -x.
+        moves = FIG1_UNIDIRECTIONAL.moves()
+        assert _within_hops(moves, (1, -1), 2)
+        assert not _within_hops(moves, (1, -1), 1)
+        assert not _within_hops(moves, (-1, 0), 10)
+        assert _within_hops(moves, (0, 0), 0)
+        assert not _within_hops(moves, (0, 0), -1)
+        design = w2_design(matrix=((0, -1),))
+        deps = system_dependence_matrices(design.system)["conv"]
+        sched = design.schedules["conv"]
+        unidirectional = LINEAR_UNI.moves()
+        assert not _flows_reachable(deps, sched, design.space_maps["conv"],
+                                    unidirectional)
+        assert _flows_reachable(deps, sched, SpaceMap(("i", "k"), ((0, 1),)),
+                                unidirectional)
+
+    def test_agrees_with_allocation_on_random_maps(self):
+        from repro.space.allocation import conflict_free, flows_realisable
+
+        design = w2_design()
+        pts = design.module_points("conv")
+        deps = system_dependence_matrices(design.system)["conv"]
+        rng = random.Random(7)
+        for _ in range(60):
+            coeffs = (rng.randint(-2, 2), rng.randint(-2, 2))
+            sched = LinearSchedule(("i", "k"), coeffs)
+            smap = SpaceMap(("i", "k"), ((rng.randint(-2, 2),
+                                          rng.randint(-2, 2)),))
+            assert _stamps_distinct(sched, smap, pts) \
+                == conflict_free(sched, smap, pts)
+            for ic in (LINEAR_UNI, LINEAR_BIDIR):
+                assert _flows_reachable(deps, sched, smap, ic.moves()) \
+                    == flows_realisable(deps, sched, smap, ic.decomposer())
 
 
 class TestExploration:

@@ -1,9 +1,15 @@
 """Joint space allocation — reproduces S', S'', S of Sections V.B and VI."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.arrays import FIG1_UNIDIRECTIONAL, FIG2_EXTENDED
+from repro.arrays import (
+    FIG1_UNIDIRECTIONAL,
+    FIG2_EXTENDED,
+    STOCK_INTERCONNECTS,
+)
 from repro.core import link_constraints
 from repro.deps import system_dependence_matrices
 from repro.problems import dp_system
@@ -14,6 +20,7 @@ from repro.space import (
     adjacency_ok,
     solve_multimodule_space,
 )
+from repro.space.multimodule import _hop_table
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +109,50 @@ class TestAdjacency:
             solve_multimodule_space(
                 space_problems(system, deps, pts, schedules, (0,)),
                 constraints, crippled.decomposer(), 2)
+
+
+class TestHopTable:
+    @pytest.mark.parametrize("name", sorted(STOCK_INTERCONNECTS))
+    def test_matches_reachable_within(self, name):
+        """One BFS table answers constraint (10) exactly as
+        ``reachable_within`` does, negative and zero budgets included."""
+        decomposer = STOCK_INTERCONNECTS[name].decomposer()
+        dim = decomposer.space_dim
+        lo, hi = np.full(dim, -4), np.full(dim, 3)
+        for max_gap in (-1, 0, 1, 3):
+            table = _hop_table(decomposer, lo, hi, max_gap)
+            box = list(itertools.product(range(-4, 4), repeat=dim))
+            assert len(table) == len(box)
+            for hops, disp in zip(table.tolist(), box):
+                for gap in range(-1, max_gap + 1):
+                    assert (hops <= gap) \
+                        == decomposer.reachable_within(disp, gap)
+
+
+class TestSearchSpans:
+    def test_child_spans_cover_space_time(self):
+        from repro.api import synthesize
+        from repro.obs import TRACER
+
+        was_enabled = TRACER.enabled
+        TRACER.reset()
+        TRACER.enable()
+        try:
+            synthesize(dp_system(), {"n": 8}, FIG2_EXTENDED)
+            (space,) = [child for root in TRACER.spans()
+                        for child in _walk(root)
+                        if child.name == "synthesize.space"]
+        finally:
+            TRACER.enabled = was_enabled
+            TRACER.reset()
+        names = {child.name for child in space.children}
+        assert names == {"space.enumerate", "space.tables", "space.search",
+                         "space.lowering_check"}
+        covered = sum(child.duration for child in space.children)
+        assert covered >= 0.9 * space.duration
+
+
+def _walk(span):
+    yield span
+    for child in span.children:
+        yield from _walk(child)
