@@ -32,9 +32,10 @@ Surface groups:
   :class:`PipelineState`, :func:`default_pipeline` (the exact lowering
   :func:`synthesize` runs), :func:`make_pass` / :func:`available_passes`
   (registry incl. the opt-in ``cse`` pass), :func:`run_pipeline` for
-  partial lowerings with access to intermediate state, and the rewrite
-  layer under it — :class:`RewritePattern`, :func:`apply_patterns`,
-  :func:`system_to_ir` / :func:`ir_to_system` / :func:`print_ir`;
+  partial lowerings with access to intermediate state, and the rewrites
+  under it — :func:`fuse_accumulator_kernels` and :func:`cross_chain_cse`
+  (``system -> (system, count)`` functions over a
+  :class:`~repro.ir.program.RecurrenceSystem`) and :func:`print_system`;
 * batch sweeps — :class:`SweepSpec`, :func:`run_sweep` (with
   ``manifest=`` resume and a ``scheduler=`` chunking-policy override),
   :class:`SweepReport`, :data:`PROBLEM_BUILDERS`,
@@ -122,15 +123,13 @@ from repro.rewrite import (
     Pass,
     PassPipeline,
     PipelineState,
-    RewritePattern,
-    apply_patterns,
     available_passes,
+    cross_chain_cse,
     default_pipeline,
-    ir_to_system,
+    fuse_accumulator_kernels,
     make_pass,
-    print_ir,
+    print_system,
     run_pipeline,
-    system_to_ir,
 )
 from repro.fuzz import (
     CaseDescriptor,
@@ -204,7 +203,6 @@ __all__ = [
     "ProgressEvent",
     "ProgressSink",
     "PruneReport",
-    "RewritePattern",
     "RunRecord",
     "STOCK_INTERCONNECTS",
     "SchedulerConfig",
@@ -217,13 +215,13 @@ __all__ = [
     "SynthesisOptions",
     "TRACER",
     "VerificationReport",
-    "apply_patterns",
     "available_passes",
     "cache_key",
     "cache_key_from_fingerprint",
     "cell_utilization",
     "coerce_engine",
     "collapsed_stacks",
+    "cross_chain_cse",
     "default_cache_dir",
     "default_pipeline",
     "default_workers",
@@ -231,9 +229,9 @@ __all__ = [
     "engine_help",
     "explore_interconnects",
     "explore_uniform",
+    "fuse_accumulator_kernels",
     "fuzz",
     "input_factory",
-    "ir_to_system",
     "load_corpus",
     "load_records",
     "load_run_record",
@@ -241,7 +239,7 @@ __all__ = [
     "metrics_dir",
     "native_available",
     "pareto_front",
-    "print_ir",
+    "print_system",
     "random_inputs",
     "read_heartbeat",
     "read_manifest",
@@ -256,7 +254,6 @@ __all__ = [
     "spans_to_chrome_trace",
     "synthesize",
     "system_fingerprint",
-    "system_to_ir",
     "verify_design",
     "write_run_record",
 ]

@@ -127,7 +127,11 @@ def cmd_synthesize(args) -> int:
     options = SynthesisOptions(engine=args.engine)
     pipeline = None
     if args.print_ir_after:
-        pipeline = default_pipeline(print_ir_after=_csv(args.print_ir_after))
+        try:
+            pipeline = default_pipeline(
+                print_ir_after=_csv(args.print_ir_after))
+        except ValueError as exc:
+            raise SystemExit(exc.args[0])
     design = synthesize(system, params, _interconnect(args.interconnect),
                         options, pipeline=pipeline)
     RUN_EXTRA["workload"] = {"problem": args.problem, "params": params,
@@ -540,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="compiled",
                    help=engine_help("machine execution engine for --verify"))
     p.add_argument("--print-ir-after", default=None, metavar="PASSES",
-                   help="print the system IR after the named passes "
+                   help="print the recurrence system after the named passes "
                         "(comma-separated; 'all' dumps after every pass; "
                         "see 'repro passes' for names)")
     p.set_defaults(fn=cmd_synthesize)

@@ -4,8 +4,10 @@ VLSI array — Sections II.B and V of the paper in one call.
 Since the pass-pipeline redesign this module is a thin entry point: the
 actual lowering lives in :mod:`repro.rewrite.pipeline` as named passes
 (``decompose-chains``, ``fuse-accumulators``, ``schedule``, ``allocate``,
-``lower-microcode``), each traced as a ``pass.<name>`` span.  The stages
-are unchanged from the historical one-shot implementation:
+``lower-microcode``), each traced as a ``pass.<name>`` span.  Every pass
+reads and rewrites the :class:`~repro.ir.program.RecurrenceSystem`
+itself; there is no second program form.  The stages are unchanged from
+the historical one-shot implementation:
 
 1. extract per-module constant dependence matrices (D, or D_1/D_2);
 2. enumerate the global constraints from the link statements (A1–A5);

@@ -30,9 +30,10 @@ class Op:
     int_kernel: Callable | None = field(
         default=None, compare=False, hash=False)
     #: For ops built by :func:`compose_accumulate`: the ``(h, f)`` pair the
-    #: composite was assembled from.  Rewrite patterns use it to derive an
-    #: exact array kernel (``repro.rewrite.patterns.FuseAccumulatorKernels``)
-    #: without any bespoke wiring at the construction site.
+    #: composite was assembled from.  The ``fuse-accumulators`` rewrite
+    #: (``repro.rewrite.patterns.fuse_accumulator_kernels``) uses it to
+    #: derive an exact array kernel without any bespoke wiring at the
+    #: construction site.
     components: "tuple[Op, ...] | None" = field(
         default=None, compare=False, hash=False)
 
@@ -72,7 +73,7 @@ def make_op(name: str, arity: int, fn: Callable,
     exact int64 array kernel so the vector engine's fast path applies
     (see :func:`repro.ir.vector.fused_int_kernel` for composing one);
     ``components`` records the ``(h, f)`` pair of an accumulator
-    composite so structural backends (the rewrite patterns, the native
+    composite so structural backends (the fusion rewrite, the native
     C emitter) can recover the exact semantics of the lambda."""
     return Op(name, arity, fn, int_kernel, components)
 

@@ -1,53 +1,37 @@
-"""Typed rewrite IR and pass manager over the synthesis middle-end.
+"""Rewrites and the pass manager over the synthesis middle-end.
 
 The paper's flow — canonic-form recurrence → restructured non-uniform
 system → scheduled/allocated design → cell program — historically lowered
 in one shot inside :func:`repro.core.nonuniform.synthesize`.  This package
-re-expresses that middle as staged, inspectable compilation:
+re-expresses that middle as staged, inspectable compilation over the one
+program form the later steps need, the
+:class:`~repro.ir.program.RecurrenceSystem`:
 
-* :mod:`repro.rewrite.ir` — an immutable, hashable op/region IR
-  (``design.system`` / ``design.module`` / ``design.equation`` /
-  ``rule.*`` ops) with def-use helpers, a structural verifier and a
-  textual printer, convertible losslessly to and from
-  :class:`~repro.ir.program.RecurrenceSystem`;
-* :mod:`repro.rewrite.patterns` — :class:`RewritePattern` and a greedy
-  fixpoint driver, plus the stock patterns (accumulator-kernel fusion,
+* :mod:`repro.rewrite.patterns` — the rewrites, plain
+  ``system -> (system, count)`` functions (accumulator-kernel fusion,
   cross-chain CSE);
 * :mod:`repro.rewrite.passes` — :class:`Pass`, :class:`PassPipeline` and
   the immutable :class:`PipelineState` threaded through them, with
-  per-pass span tracing and ``print-ir-after`` debugging;
+  per-pass span tracing and ``print-ir-after`` debugging through
+  :func:`print_system`;
 * :mod:`repro.rewrite.pipeline` — the named passes of the default
   lowering (``decompose-chains``, ``fuse-accumulators``, ``schedule``,
   ``allocate``, ``lower-microcode``) plus the opt-in ``cse`` pass, the
   pass registry and :func:`default_pipeline`.
 
-Every pass boundary is verifiable against the three execution engines'
+Every pass boundary is verifiable against the execution engines'
 bit-identical canonical event streams; the default pipeline is
 behavior-identical to the historical one-shot lowering.
 """
 
-from repro.rewrite.ir import (
-    IROp,
-    IRVerificationError,
-    Region,
-    ir_to_system,
-    print_ir,
-    system_to_ir,
-    verify_ir,
-    walk,
-)
 from repro.rewrite.passes import (
     Pass,
     PassError,
     PassPipeline,
     PipelineState,
+    print_system,
 )
-from repro.rewrite.patterns import (
-    CrossChainCSE,
-    FuseAccumulatorKernels,
-    RewritePattern,
-    apply_patterns,
-)
+from repro.rewrite.patterns import cross_chain_cse, fuse_accumulator_kernels
 from repro.rewrite.pipeline import (
     PASS_REGISTRY,
     available_passes,
@@ -57,25 +41,16 @@ from repro.rewrite.pipeline import (
 )
 
 __all__ = [
-    "CrossChainCSE",
-    "FuseAccumulatorKernels",
-    "IROp",
-    "IRVerificationError",
     "PASS_REGISTRY",
     "Pass",
     "PassError",
     "PassPipeline",
     "PipelineState",
-    "Region",
-    "RewritePattern",
-    "apply_patterns",
     "available_passes",
+    "cross_chain_cse",
     "default_pipeline",
-    "ir_to_system",
+    "fuse_accumulator_kernels",
     "make_pass",
-    "print_ir",
+    "print_system",
     "run_pipeline",
-    "system_to_ir",
-    "verify_ir",
-    "walk",
 ]

@@ -17,9 +17,12 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from repro.obs import TRACER
+
+if TYPE_CHECKING:
+    from repro.ir.program import RecurrenceSystem
 
 
 class PassError(RuntimeError):
@@ -31,10 +34,10 @@ class PipelineState:
     """Everything the passes of one synthesis run read and produce.
 
     The front half mirrors the paper's artifacts: a
-    :class:`~repro.ir.program.HighLevelSpec` (optional entry point), the
-    restructured :class:`~repro.ir.program.RecurrenceSystem` and its typed
-    rewrite-IR view (kept in sync by the passes that rewrite it).  The
-    back half is filled in stage by stage: link constraints and schedules,
+    :class:`~repro.ir.program.HighLevelSpec` (optional entry point) and
+    the restructured :class:`~repro.ir.program.RecurrenceSystem`, which the
+    rewrite passes replace with their rewritten systems.  The back half is
+    filled in stage by stage: link constraints and schedules,
     space maps, the value-free microcode skeleton, and finally the
     packaged :class:`~repro.core.design.Design`.
     """
@@ -44,7 +47,6 @@ class PipelineState:
     options: object                      # core.options.SynthesisOptions
     spec: object | None = None           # ir.program.HighLevelSpec
     system: object | None = None         # ir.program.RecurrenceSystem
-    ir: object | None = None             # rewrite.ir.IROp (design.system)
     deps: Mapping[str, object] | None = None
     constraints: Sequence[object] | None = None
     schedules: Mapping[str, object] | None = None
@@ -87,9 +89,9 @@ class Pass(abc.ABC):
 class PassPipeline:
     """An ordered, immutable sequence of passes.
 
-    ``print_ir_after`` opts into IR dumps for debugging: pass names (or
-    ``"all"``) after which the current system IR is printed through
-    ``emit`` (default: ``print``).
+    ``print_ir_after`` opts into dumps for debugging: pass names (or
+    ``"all"``) after which the current system is printed with
+    :func:`print_system` through ``emit`` (default: ``print``).
     """
 
     def __init__(self, passes: Sequence[Pass],
@@ -150,8 +152,6 @@ class PassPipeline:
 
     def run(self, state: PipelineState) -> PipelineState:
         """Run every pass in order under per-pass tracer spans."""
-        from repro.rewrite.ir import print_ir
-
         dump_all = "all" in self.print_ir_after
         with TRACER.span("pipeline", passes=len(self.passes)):
             for p in self.passes:
@@ -159,8 +159,34 @@ class PassPipeline:
                     state = p.run(state)
                 if (dump_all or p.name in self.print_ir_after):
                     header = f"// -- IR after pass {p.name} --"
-                    if state.ir is not None:
-                        self._emit(f"{header}\n{print_ir(state.ir)}")
+                    if state.system is not None:
+                        self._emit(f"{header}\n{print_system(state.system)}")
                     else:
-                        self._emit(f"{header}\n// (no system IR in state)")
+                        self._emit(f"{header}\n// (no system in state)")
         return state
+
+
+def print_system(system: RecurrenceSystem) -> str:
+    """Readable, deterministic text of a
+    :class:`~repro.ir.program.RecurrenceSystem`: its modules, equations,
+    rules and outputs.
+
+    Meant for ``--print-ir-after`` debugging, not parsing; rules print
+    through the value-based reprs the design cache fingerprints.
+    """
+    lines = [f"system @{system.name} inputs={system.input_names!r} "
+             f"params={system.params!r} {{"]
+    for module in system.modules.values():
+        lines.append(f"  module @{module.name} dims={module.dims!r} "
+                     f"domain={module.domain!r} {{")
+        for eqn in module.equations.values():
+            where = "" if eqn.where.is_true() else f" where={eqn.where!r}"
+            lines.append(f"    equation @{eqn.var}{where} {{")
+            lines.extend(f"      {rule!r}" for rule in eqn.rules)
+            lines.append("    }")
+        lines.append("  }")
+    for out in system.outputs:
+        lines.append(f"  output @{out.module}::{out.var} "
+                     f"domain={out.domain!r} key={out.key!r}")
+    lines.append("}")
+    return "\n".join(lines)

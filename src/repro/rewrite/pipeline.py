@@ -5,9 +5,8 @@ The historical one-shot ``synthesize`` body is re-expressed as:
 1. ``decompose-chains`` — ingest: restructure a
    :class:`~repro.ir.program.HighLevelSpec` into the system of mutually
    dependent recurrences (chain decomposition + coarse timing), or accept
-   an already-canonic :class:`~repro.ir.program.RecurrenceSystem`; lift it
-   into the typed rewrite IR.
-2. ``fuse-accumulators`` — pattern pass attaching composed exact int64
+   an already-canonic :class:`~repro.ir.program.RecurrenceSystem`.
+2. ``fuse-accumulators`` — rewrite attaching composed exact int64
    kernels to accumulator composites (vector-engine fast path); replaces
    the fused-kernel wiring the restructurer used to hard-code.
 3. ``schedule`` — per-module dependence matrices, global link
@@ -46,13 +45,8 @@ from repro.ir.program import HighLevelSpec, RecurrenceSystem
 from repro.machine.errors import MachineError
 from repro.machine.microcode import compile_design
 from repro.obs import TRACER
-from repro.rewrite.ir import ir_to_system, system_to_ir, verify_ir
 from repro.rewrite.passes import Pass, PassError, PassPipeline, PipelineState
-from repro.rewrite.patterns import (
-    CrossChainCSE,
-    FuseAccumulatorKernels,
-    apply_patterns,
-)
+from repro.rewrite.patterns import cross_chain_cse, fuse_accumulator_kernels
 from repro.schedule.multimodule import (
     ModuleSchedulingProblem,
     normalise_start,
@@ -69,8 +63,7 @@ from repro.space.multimodule import (
 class DecomposeChainsPass(Pass):
     name = "decompose-chains"
     description = ("restructure a high-level spec into mutually dependent "
-                   "chain recurrences (no-op for canonic systems) and lift "
-                   "it into the rewrite IR")
+                   "chain recurrences (no-op for canonic systems)")
 
     def run(self, state: PipelineState) -> PipelineState:
         if state.system is None:
@@ -80,47 +73,31 @@ class DecomposeChainsPass(Pass):
                     "them to the pipeline entry point")
             state = state.replace(
                 system=restructure(state.spec, params=dict(state.params)))
-        if state.ir is None:
-            state = state.replace(ir=system_to_ir(state.system))
         return state
 
 
-class PatternPass(Pass):
-    """A pass that drives rewrite patterns to fixpoint over the system IR.
-
-    Subclasses set ``patterns``.  The evaluation-side system is rebuilt
-    only when something was actually rewritten, so a no-op pattern pass
-    keeps the caller's system object untouched.
-    """
-
-    patterns: tuple = ()
-
-    def run(self, state: PipelineState) -> PipelineState:
-        ir = state.ir
-        if ir is None:
-            system = state.require("system", "decompose-chains")
-            ir = system_to_ir(system)
-        new_ir, counts = apply_patterns(ir, self.patterns)
-        if not counts:
-            return state.replace(ir=ir)
-        verify_ir(new_ir)
-        return state.replace(ir=new_ir, system=ir_to_system(new_ir))
-
-
-class FuseAccumulatorsPass(PatternPass):
+class FuseAccumulatorsPass(Pass):
     name = "fuse-accumulators"
     description = ("attach composed exact int64 kernels to accumulator "
                    "composites (vector-engine fast path; values and event "
                    "streams unchanged)")
-    patterns = (FuseAccumulatorKernels(),)
+
+    def run(self, state: PipelineState) -> PipelineState:
+        system, _ = fuse_accumulator_kernels(
+            state.require("system", "decompose-chains"))
+        return state.replace(system=system)
 
 
-class CrossChainCSEPass(PatternPass):
+class CrossChainCSEPass(Pass):
     name = "cse"
     description = ("merge structurally identical equations within each "
                    "module and redirect references (changes the design; "
                    "opt-in)")
-    patterns = (CrossChainCSE(),)
+
+    def run(self, state: PipelineState) -> PipelineState:
+        system, _ = cross_chain_cse(
+            state.require("system", "decompose-chains"))
+        return state.replace(system=system)
 
 
 class SchedulePass(Pass):

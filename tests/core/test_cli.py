@@ -27,6 +27,28 @@ class TestSynthesize:
         with pytest.raises(SystemExit):
             main(["synthesize", "--interconnect", "warp-drive"])
 
+    @pytest.mark.parametrize("name", ["tile", "cse"])
+    def test_print_ir_after_unknown_pass(self, name):
+        # "cse" is registered but not in the default pipeline.
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--problem", "dp", "--n", "4",
+                  "--print-ir-after", name])
+        message = str(exc.value.code)
+        assert repr(name) in message
+        assert "'decompose-chains'" in message
+        assert "'lower-microcode'" in message
+
+    def test_print_ir_after_all(self, capsys):
+        from repro.rewrite import default_pipeline
+
+        assert main(["synthesize", "--problem", "dp", "--n", "4",
+                     "--print-ir-after", "all"]) == 0
+        out = capsys.readouterr().out
+        headers = [line for line in out.splitlines()
+                   if line.startswith("// -- IR after pass ")]
+        assert headers == [f"// -- IR after pass {name} --"
+                           for name in default_pipeline().names]
+
     def test_verify_reports_seed(self, capsys):
         assert main(["synthesize", "--problem", "conv-backward",
                      "--n", "8", "--s", "3", "--interconnect", "linear",

@@ -1,83 +1,72 @@
-"""Rewrite patterns: the fixpoint driver, kernel fusion, cross-chain CSE."""
+"""Rewrites over RecurrenceSystem: kernel fusion, cross-chain CSE."""
 
-import pytest
-
+from repro.core.cache import system_fingerprint
 from repro.core.restructure import restructure
 from repro.fuzz.cases import CaseDescriptor, build_inputs, build_spec
 from repro.fuzz.oracle import evaluate
 from repro.ir.evaluate import run_system
+from repro.ir.statements import ComputeRule
 from repro.problems import dp_spec
-from repro.rewrite import (
-    CrossChainCSE,
-    FuseAccumulatorKernels,
-    IROp,
-    RewritePattern,
-    apply_patterns,
-    ir_to_system,
-    system_to_ir,
-    verify_ir,
-    walk,
-)
-from repro.rewrite.patterns import PatternConvergenceError
+from repro.rewrite import cross_chain_cse, fuse_accumulator_kernels
 
 PARAMS = {"n": 5}
 
 
-def _restructured_ir():
-    return system_to_ir(restructure(dp_spec(), params=PARAMS))
+def _restructured():
+    return restructure(dp_spec(), params=PARAMS)
 
 
-def _composites(root):
-    return [op.attr("op") for op in walk(root) if op.name == "rule.compute"
-            and op.attr("op").components is not None]
+def _composites(system):
+    return [rule.op for module in system.modules.values()
+            for eqn in module.equations.values() for rule in eqn.rules
+            if isinstance(rule, ComputeRule)
+            and rule.op.components is not None]
+
+
+def _eq_count(system):
+    return sum(len(m.equations) for m in system.modules.values())
 
 
 class TestDriver:
+    """The ``(system, count)`` contract the rewrite passes rely on."""
+
     def test_no_match_returns_same_counts(self):
-        root = _restructured_ir()
-        _, counts = apply_patterns(root, (CrossChainCSE(),))
-        assert counts == {}  # dp has no duplicated carrier chains
-
-    def test_non_converging_pattern_reported(self):
-        class Renamer(RewritePattern):
-            name = "renamer"
-
-            def match_and_rewrite(self, op):
-                if op.name == "design.equation":
-                    return op.with_attrs(var=op.attr("var") + "x")
-                return None
-
-        with pytest.raises(PatternConvergenceError, match="renamer"):
-            apply_patterns(_restructured_ir(), (Renamer(),),
-                           max_iterations=4)
+        system = _restructured()
+        merged, count = cross_chain_cse(system)
+        assert count == 0  # dp has no duplicated carrier chains
+        assert merged is system
 
     def test_counts_returned_per_pattern(self):
-        root = _restructured_ir()
-        n_composites = len(_composites(root))
+        system = _restructured()
+        n_composites = len(_composites(system))
         assert n_composites > 0
-        _, counts = apply_patterns(root, (FuseAccumulatorKernels(),))
-        assert counts == {"fuse-accumulator-kernels": n_composites}
+        _, count = fuse_accumulator_kernels(system)
+        assert count == n_composites
 
 
 class TestFuseAccumulatorKernels:
     def test_restructure_emits_unfused_composites(self):
-        for op in _composites(_restructured_ir()):
+        for op in _composites(_restructured()):
             assert op.int_kernel is None
 
     def test_fusion_attaches_kernels_and_fixpoints(self):
-        root, counts = apply_patterns(_restructured_ir(),
-                                      (FuseAccumulatorKernels(),))
-        assert sum(counts.values()) > 0
-        for op in _composites(root):
+        original = _restructured()
+        fused, count = fuse_accumulator_kernels(original)
+        assert count > 0
+        for op in _composites(fused):
             assert op.int_kernel is not None
-        _, again = apply_patterns(root, (FuseAccumulatorKernels(),))
-        assert again == {}  # the rewrite extinguished its own match
+        again, count = fuse_accumulator_kernels(fused)
+        assert count == 0  # the rewrite extinguished its own match
+        assert again is fused
+        # The input is never mutated, and the fingerprint (hence every
+        # cache key) does not see the kernel.
+        for op in _composites(original):
+            assert op.int_kernel is None
+        assert system_fingerprint(fused) == system_fingerprint(original)
 
     def test_values_unchanged(self):
-        plain = restructure(dp_spec(), params=PARAMS)
-        fused_ir, _ = apply_patterns(system_to_ir(plain),
-                                     (FuseAccumulatorKernels(),))
-        fused = ir_to_system(fused_ir)
+        plain = _restructured()
+        fused, _ = fuse_accumulator_kernels(plain)
         inputs = {"c0": lambda i, j: 3 * i - j}
         assert run_system(fused, PARAMS, inputs) == \
             run_system(plain, PARAMS, inputs)
@@ -98,48 +87,29 @@ class TestCrossChainCSE:
     def test_merges_duplicated_carriers(self):
         desc = _dup_case()
         system = restructure(build_spec(desc), params={"n": desc.n})
-        root = system_to_ir(system)
-        merged, counts = apply_patterns(root, (CrossChainCSE(),))
-        assert counts.get("cross-chain-cse", 0) >= 1
-        verify_ir(merged)
-
-        def eq_count(op):
-            return sum(len(m.regions[0]) for m in op.regions[0])
-
-        assert eq_count(merged) < eq_count(root)
+        merged, count = cross_chain_cse(system)
+        assert count >= 1
+        assert _eq_count(merged) < _eq_count(system)
+        # Every reference still resolves: RecurrenceSystem checks links
+        # and outputs on construction, and no rule names a dropped var.
+        for module in merged.modules.values():
+            for eqn in module.equations.values():
+                for rule in eqn.rules:
+                    if isinstance(rule, ComputeRule):
+                        assert all(ref.var in module.equations
+                                   for ref in rule.operands)
 
     def test_merged_system_computes_the_same_results(self):
         desc = _dup_case()
         oracle = evaluate(desc)
         system = restructure(build_spec(desc), params={"n": desc.n})
-        merged_ir, _ = apply_patterns(system_to_ir(system),
-                                      (CrossChainCSE(),))
-        merged = ir_to_system(merged_ir)
+        merged, _ = cross_chain_cse(system)
         results = run_system(merged, {"n": desc.n}, build_inputs(desc))
         assert results == oracle
 
     def test_no_false_merges_on_distinct_carriers(self):
         # dp's two chains carry *different* arguments; nothing may merge.
-        root = _restructured_ir()
-        merged, counts = apply_patterns(root, (CrossChainCSE(),))
-        assert counts == {}
-        assert merged == root
-
-
-class TestPatternContract:
-    def test_returned_op_taken_as_is(self):
-        # The driver must count a rewrite even when the replacement is
-        # structurally "equal" (op equality ignores executable payloads).
-        hits = []
-
-        class OneShot(RewritePattern):
-            name = "one-shot"
-
-            def match_and_rewrite(self, op):
-                if op.name == "design.output" and not hits:
-                    hits.append(op)
-                    return IROp(op.name, op.attrs, op.regions)
-                return None
-
-        _, counts = apply_patterns(_restructured_ir(), (OneShot(),))
-        assert counts == {"one-shot": 1}
+        system = _restructured()
+        merged, count = cross_chain_cse(system)
+        assert count == 0
+        assert system_fingerprint(merged) == system_fingerprint(system)

@@ -5,8 +5,11 @@ import pytest
 from repro.arrays.interconnect import resolve_interconnect
 from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
+from repro.core.restructure import restructure
 from repro.core.verify import verify_design
 from repro.fuzz.cases import CaseDescriptor, build_inputs, build_spec
+from repro.ir.statements import ComputeRule
+from repro.obs import TRACER
 from repro.problems import dp_spec, dp_system
 from repro.rewrite import (
     PASS_REGISTRY,
@@ -16,12 +19,36 @@ from repro.rewrite import (
     available_passes,
     default_pipeline,
     make_pass,
+    print_system,
     run_pipeline,
 )
 
 FIG1 = resolve_interconnect("fig1")
 PARAMS = {"n": 5}
 OPTS = SynthesisOptions()
+FUSE_KEY = "rewrite.fuse-accumulator-kernels"
+CSE_KEY = "rewrite.cross-chain-cse"
+
+#: The spec repeats an argument, so restructuring duplicates a carrier
+#: chain in both chain modules: the opt-in ``cse`` pass merges them.
+DUP_CASE = CaseDescriptor(n=5, lo=1, hi=1, args=((1, (0, 0)), (1, (0, 0))),
+                          body="min_plus", combine="min", pool=(2, -3, 5, 7))
+
+
+def _cse_pipeline():
+    return default_pipeline().with_pass(make_pass("cse"),
+                                        after="fuse-accumulators")
+
+
+def _traced_counters(source, params, pipeline=None) -> dict:
+    TRACER.reset()
+    TRACER.enabled = True
+    try:
+        run_pipeline(source, params, FIG1, OPTS, pipeline=pipeline)
+        return TRACER.snapshot()["counters"]
+    finally:
+        TRACER.enabled = False
+        TRACER.reset()
 
 
 class TestRegistry:
@@ -89,7 +116,7 @@ class TestStateContract:
         pipe = PassPipeline([make_pass("decompose-chains"),
                              make_pass("schedule")])
         state = run_pipeline(dp_spec(), PARAMS, FIG1, OPTS, pipeline=pipe)
-        assert state.ir is not None
+        assert state.system is not None
         assert state.schedules is not None
         assert state.design is None
 
@@ -105,8 +132,6 @@ class TestStateContract:
 
 class TestTracing:
     def test_per_pass_spans_recorded(self):
-        from repro.obs import TRACER
-
         TRACER.reset()
         TRACER.enabled = True
         try:
@@ -125,21 +150,57 @@ class TestTracing:
         run_pipeline(dp_system(), PARAMS, FIG1, OPTS, pipeline=pipe)
         assert len(chunks) == 1
         assert "IR after pass decompose-chains" in chunks[0]
-        assert "design.system" in chunks[0]
+        assert "system @dp" in chunks[0]
+
+    def test_fuse_counter_once_per_composite(self):
+        system = restructure(dp_spec(), params=PARAMS)
+        composites = sum(
+            1 for module in system.modules.values()
+            for eqn in module.equations.values() for rule in eqn.rules
+            if isinstance(rule, ComputeRule)
+            and rule.op.components is not None)
+        assert composites > 0
+        counters = _traced_counters(dp_spec(), PARAMS)
+        assert counters[FUSE_KEY] == composites
+
+    def test_cse_counter_charged_by_opt_in_pass(self):
+        counters = _traced_counters(build_spec(DUP_CASE), {"n": DUP_CASE.n},
+                                    _cse_pipeline())
+        assert counters[CSE_KEY] >= 1
+
+    def test_no_rewrite_counters_without_rewrites(self):
+        # dp_system is canonic (no composites) and has no duplicate
+        # equations, so neither rewrite matches anything.
+        counters = _traced_counters(dp_system(), PARAMS, _cse_pipeline())
+        assert FUSE_KEY not in counters
+        assert CSE_KEY not in counters
+
+
+class TestPrintSystem:
+    def test_deterministic_and_names_everything(self):
+        system = restructure(dp_spec(), params=PARAMS)
+        text = print_system(system)
+        assert text == print_system(system)
+        for name, module in system.modules.items():
+            assert f"module @{name} " in text
+            for var in module.equations:
+                assert f"equation @{var}" in text
+        for out in system.outputs:
+            assert f"output @{out.module}::{out.var} " in text
+
+    def test_trivial_where_suppressed(self):
+        text = print_system(dp_system())
+        assert "where=TRUE" not in text
+        assert "(gap>=1)" not in text
 
 
 class TestCsePipeline:
     def test_cse_design_verifies_and_uses_fewer_cells(self):
-        desc = CaseDescriptor(n=5, lo=1, hi=1,
-                              args=((1, (0, 0)), (1, (0, 0))),
-                              body="min_plus", combine="min",
-                              pool=(2, -3, 5, 7))
-        spec, params = build_spec(desc), {"n": desc.n}
+        spec, params = build_spec(DUP_CASE), {"n": DUP_CASE.n}
         plain = synthesize(spec, params, FIG1, OPTS)
-        pipe = default_pipeline().with_pass(make_pass("cse"),
-                                            after="fuse-accumulators")
-        merged = synthesize(spec, params, FIG1, OPTS, pipeline=pipe)
-        report = verify_design(merged, build_inputs(desc))
+        merged = synthesize(spec, params, FIG1, OPTS,
+                            pipeline=_cse_pipeline())
+        report = verify_design(merged, build_inputs(DUP_CASE))
         assert report.ok, report.failures
         n_plain = sum(len(m.equations)
                       for m in plain.system.modules.values())
