@@ -34,12 +34,20 @@ class Design:
     space_maps: dict[str, SpaceMap]
     constraints: list[GlobalConstraint] = field(default_factory=list)
 
-    _points_cache: dict[str, np.ndarray] = field(default_factory=dict,
-                                                 repr=False)
+    # The caches belong to this object's maps: ``init=False`` makes
+    # ``dataclasses.replace`` start a copy with empty ones, and
+    # ``compare=False`` keeps them out of equality.
+    _points_cache: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
     #: value-independent verification artifacts (execution plan, microcode,
-    #: lowered machine, symbolic-check outcome) keyed by stage name — filled
-    #: lazily by :func:`repro.core.verify.verify_design`'s compiled engine.
-    _exec_cache: dict[str, object] = field(default_factory=dict, repr=False)
+    #: lowered machine, symbolic-check outcome) keyed by stage name.  The
+    #: ``lower-microcode`` pass seeds the plan and the microcode its
+    #: allocate-time compile check built;
+    #: :func:`~repro.core.verify.verify_design` fills the rest lazily and
+    #: builds whatever is missing (everything, for a design rebuilt by
+    #: :meth:`from_dict`).
+    _exec_cache: dict[str, object] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def module_points(self, name: str) -> np.ndarray:
         if name not in self._points_cache:

@@ -28,12 +28,14 @@ from repro.core.cache import system_fingerprint
 from repro.core.design import Design
 from repro.deps.extract import system_dependence_matrices
 from repro.ir.evaluate import (
+    ExecutionPlan,
     build_execution_plan,
     execute_plan,
+    structural_trace,
     trace_execution,
 )
 from repro.ir.vector import execute_program, lower_plan
-from repro.machine.compiled import lower
+from repro.machine.compiled import CompiledMachine, lower
 from repro.machine.engines import ENGINES as _ENGINES
 from repro.machine.engines import Engine, coerce_engine
 from repro.machine.errors import CapacityError
@@ -155,6 +157,37 @@ def _check_results(report: VerificationReport, machine_results: Mapping,
             f"{prefix}machine results differ from reference at {diffs[:5]}")
 
 
+def _execution_plan(design: Design) -> ExecutionPlan:
+    """The design's cached execution plan, built on first use."""
+    cache = design._exec_cache
+    plan = cache.get("plan")
+    if plan is None:
+        plan = cache["plan"] = build_execution_plan(design.system,
+                                                    design.params)
+    return plan
+
+
+def lowered_machine(design: Design) -> CompiledMachine:
+    """The design's lowered machine, cached on the design.
+
+    The microcode comes from the cache when synthesis seeded it, and is
+    compiled on a value-free trace of the cached plan otherwise; once
+    lowered, it is dropped from the cache.  Raises the
+    :class:`~repro.machine.errors.MachineError` of a design that does not
+    compile or lower."""
+    cache = design._exec_cache
+    lowered = cache.get("machine")
+    if lowered is None:
+        trace = structural_trace(design.system, design.params,
+                                 _execution_plan(design))
+        mc = cache.pop("microcode", None)
+        if mc is None:
+            mc = compile_design(trace, design.schedules, design.space_maps,
+                                design.interconnect.decomposer())
+        lowered = cache["machine"] = lower(mc, trace)
+    return lowered
+
+
 def _verify_looped(design: Design, report: VerificationReport, decomposer,
                    cache, input_sets, prefixes, strict_capacity: bool,
                    engine: str) -> None:
@@ -163,21 +196,13 @@ def _verify_looped(design: Design, report: VerificationReport, decomposer,
     for prefix, inputs in zip(prefixes, input_sets):
         with TRACER.span("verify.reference"):
             if cache is not None:
-                plan = cache.get("plan")
-                if plan is None:
-                    plan = cache["plan"] = build_execution_plan(
-                        design.system, design.params)
-                trace = execute_plan(plan, inputs)
+                trace = execute_plan(_execution_plan(design), inputs)
             else:
                 trace = trace_execution(design.system, design.params, inputs)
         try:
             if cache is not None:
                 with TRACER.span("verify.compile"):
-                    lowered = cache.get("machine")
-                    if lowered is None:
-                        mc = compile_design(trace, design.schedules,
-                                            design.space_maps, decomposer)
-                        lowered = cache["machine"] = lower(mc, trace)
+                    lowered = lowered_machine(design)
                 with TRACER.span("verify.machine"):
                     machine = lowered.execute(inputs, strict=strict_capacity)
                     _annotate_machine(machine.stats)
@@ -215,7 +240,7 @@ def design_token(design: Design) -> str:
         sort_keys=True, separators=(",", ":"))
 
 
-def _verify_batched(design: Design, report: VerificationReport, decomposer,
+def _verify_batched(design: Design, report: VerificationReport,
                     cache, input_sets, prefixes,
                     strict_capacity: bool, engine: str) -> None:
     """All input sets through one batched value pass, reference and
@@ -231,10 +256,7 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
     if not input_sets:
         return
     with TRACER.span("verify.reference"):
-        plan = cache.get("plan")
-        if plan is None:
-            plan = cache["plan"] = build_execution_plan(
-                design.system, design.params)
+        plan = _execution_plan(design)
         vplan = cache.get("vplan")
         if vplan is None:
             vplan = cache["vplan"] = lower_plan(plan)
@@ -244,12 +266,7 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
             slot = "nmachine" if engine == "native" else "vmachine"
             vmachine = cache.get(slot)
             if vmachine is None:
-                lowered = cache.get("machine")
-                if lowered is None:
-                    trace = execute_plan(plan, input_sets[0])
-                    mc = compile_design(trace, design.schedules,
-                                        design.space_maps, decomposer)
-                    lowered = cache["machine"] = lower(mc, trace)
+                lowered = lowered_machine(design)
                 if engine == "native":
                     vmachine = cache[slot] = nativize(
                         lowered, cache_token=design_token(design))
@@ -295,9 +312,14 @@ def verify_design(design: Design, inputs,
     integer-indexed program; every value-independent artifact (the plan, the
     microcode, the lowered machine, the symbolic-check outcome) is cached on
     the design, so repeated verification — sweeps cross-checking many input
-    seeds — only redoes the value passes.  ``engine="interpreted"`` is the
-    from-scratch oracle: recursive-free reference evaluation plus the
-    cycle-by-cycle simulator, nothing cached.  ``engine="vector"``
+    seeds — only redoes the value passes.  A design fresh from
+    :func:`~repro.core.nonuniform.synthesize` arrives with the plan and the
+    microcode already cached (the ``lower-microcode`` pass stores the ones
+    its compile check built), so even its first verification neither
+    rebuilds the plan nor recompiles the microcode.
+    ``engine="interpreted"`` is the from-scratch oracle: recursive-free
+    reference evaluation plus the cycle-by-cycle simulator, nothing cached.
+    ``engine="vector"``
     additionally lowers the cached plan and machine table to level-grouped
     ndarray kernels (:mod:`repro.ir.vector`), so each value pass is a
     handful of array operations instead of one Python iteration per node.
@@ -353,8 +375,8 @@ def verify_design(design: Design, inputs,
         report.seeds_checked = len(seeds)
 
     if engine in ("vector", "native"):
-        _verify_batched(design, report, decomposer, cache, input_sets,
-                        prefixes, strict_capacity, engine)
+        _verify_batched(design, report, cache, input_sets, prefixes,
+                        strict_capacity, engine)
     else:
         _verify_looped(design, report, decomposer, cache, input_sets,
                        prefixes, strict_capacity, engine)

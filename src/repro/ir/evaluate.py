@@ -392,14 +392,18 @@ def run_system(system: RecurrenceSystem, params: Mapping[str, int],
 
 
 def structural_trace(system: RecurrenceSystem,
-                     params: Mapping[str, int]) -> SystemTrace:
+                     params: Mapping[str, int],
+                     plan: ExecutionPlan | None = None) -> SystemTrace:
     """Dependence-only trace: every event carries ``value=None``.
 
     Placement and routing (:func:`~repro.machine.microcode.compile_design`)
     read only keys, rules and operand edges, so this is enough to validate a
     design's physical feasibility — channel capacity, locality, causality —
-    without binding any host inputs."""
-    plan = build_execution_plan(system, params)
+    without binding any host inputs.  ``plan`` is the system's execution
+    plan for ``params`` when the caller already holds one; it is built
+    otherwise."""
+    if plan is None:
+        plan = build_execution_plan(system, params)
     trace = SystemTrace(system, dict(plan.params))
     trace.domains = plan.domains
     trace._pending = (plan, [None] * plan.node_count)

@@ -38,8 +38,9 @@ class PipelineState:
     the restructured :class:`~repro.ir.program.RecurrenceSystem`, which the
     rewrite passes replace with their rewritten systems.  The back half is
     filled in stage by stage: link constraints and schedules,
-    space maps, the value-free microcode skeleton, and finally the
-    packaged :class:`~repro.core.design.Design`.
+    space maps, the value-free execution plan and microcode skeleton of
+    the chosen placement, and finally the packaged
+    :class:`~repro.core.design.Design`.
     """
 
     params: Mapping[str, int]
@@ -51,6 +52,7 @@ class PipelineState:
     constraints: Sequence[object] | None = None
     schedules: Mapping[str, object] | None = None
     space_maps: Mapping[str, object] | None = None
+    plan: object | None = None           # ir.evaluate.ExecutionPlan
     microcode: object | None = None      # machine.microcode.Microcode
     design: object | None = None         # core.design.Design
 

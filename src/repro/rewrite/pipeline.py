@@ -15,11 +15,14 @@ The historical one-shot ``synthesize`` body is re-expressed as:
 4. ``allocate`` — joint space maps under flow realisability,
    conflict-freedom and adjacency, with plan escalation; every candidate
    that could win is compile-checked on a value-free trace (link
-   bandwidth is outside the solvers' model) and the winning candidate's
-   microcode skeleton is kept on the state.
+   bandwidth is outside the solvers' model), and that trace's execution
+   plan and the winning candidate's microcode skeleton are kept on the
+   state.
 5. ``lower-microcode`` — package the :class:`~repro.core.design.Design`
    and guarantee the cell program exists (compiling it if a custom
-   pipeline skipped the allocate-time check).
+   pipeline skipped the allocate-time check); the plan and the microcode
+   seed the design's execution cache, so verifying a freshly synthesized
+   design neither rebuilds the plan nor recompiles the microcode.
 
 ``cse`` (cross-chain common-subexpression elimination) is available from
 the registry but *not* part of :func:`default_pipeline`: merging duplicate
@@ -40,7 +43,7 @@ from repro.core.design import Design
 from repro.core.globals import link_constraints
 from repro.core.restructure import restructure
 from repro.deps.extract import system_dependence_matrices
-from repro.ir.evaluate import structural_trace
+from repro.ir.evaluate import build_execution_plan, structural_trace
 from repro.ir.program import HighLevelSpec, RecurrenceSystem
 from repro.machine.errors import MachineError
 from repro.machine.microcode import compile_design
@@ -139,6 +142,13 @@ class SchedulePass(Pass):
 
 
 class AllocatePass(Pass):
+    """Joint space maps for the scheduled system.
+
+    Produces ``space_maps``, the winning candidate's ``microcode`` and the
+    system's value-free execution ``plan`` (built once, for the trace every
+    lowering check compiles against); ``lower-microcode`` hands the last
+    two to the design's execution cache."""
+
     name = "allocate"
     description = ("jointly solve space maps (adjacency, conflict-freedom, "
                    "flow realisability; plan escalation), compile-checking "
@@ -180,6 +190,7 @@ class AllocatePass(Pass):
         best = None
         best_mc = None
         last_error: NoSpaceMapExists | None = None
+        exec_plan = None
         check_trace = None
 
         def lowering(candidate):
@@ -191,10 +202,11 @@ class AllocatePass(Pass):
             one physical channel twice in the same cycle.  Compile the
             candidate's placement and routing over a value-free trace;
             returns ``(microcode, None)`` or ``(None, failure)``."""
-            nonlocal check_trace
+            nonlocal exec_plan, check_trace
             with TRACER.span("space.lowering_check"):
                 if check_trace is None:
-                    check_trace = structural_trace(system, params)
+                    exec_plan = build_execution_plan(system, params)
+                    check_trace = structural_trace(system, params, exec_plan)
                 try:
                     mc = compile_design(check_trace, schedules,
                                         candidate.maps, decomposer)
@@ -255,7 +267,8 @@ class AllocatePass(Pass):
                 best_mc, failure = lowering(best)
                 if failure is not None:
                     raise failure
-        return state.replace(space_maps=best.maps, microcode=best_mc)
+        return state.replace(space_maps=best.maps, plan=exec_plan,
+                             microcode=best_mc)
 
 
 class LowerMicrocodePass(Pass):
@@ -269,10 +282,13 @@ class LowerMicrocodePass(Pass):
         schedules = state.require("schedules", "schedule")
         space_maps = state.require("space_maps", "allocate")
         params = dict(state.params)
+        plan = state.plan
+        if plan is None:
+            plan = build_execution_plan(system, params)
         microcode = state.microcode
         if microcode is None:
             # A custom pipeline skipped the allocate-time compile check.
-            trace = structural_trace(system, params)
+            trace = structural_trace(system, params, plan)
             microcode = compile_design(trace, schedules, space_maps,
                                        state.interconnect.decomposer())
         design = Design(system=system, params=params,
@@ -280,7 +296,8 @@ class LowerMicrocodePass(Pass):
                         schedules=dict(schedules),
                         space_maps=dict(space_maps),
                         constraints=list(state.constraints or ()))
-        return state.replace(microcode=microcode, design=design)
+        design._exec_cache.update(plan=plan, microcode=microcode)
+        return state.replace(plan=plan, microcode=microcode, design=design)
 
 
 class LowerNativePass(Pass):
@@ -291,23 +308,16 @@ class LowerNativePass(Pass):
 
     def run(self, state: PipelineState) -> PipelineState:
         design = state.require("design", "lower-microcode")
-        microcode = state.require("microcode", "lower-microcode")
         # Local imports: core.verify imports this module's package at
         # load time, so the dependency must stay run-time only.
-        from repro.core.verify import design_token
-        from repro.machine.compiled import lower
+        from repro.core.verify import design_token, lowered_machine
         from repro.machine.native import nativize
 
-        cache = design._exec_cache
-        lowered = cache.get("machine")
-        if lowered is None:
-            trace = structural_trace(design.system, dict(design.params))
-            lowered = cache["machine"] = lower(microcode, trace)
         # Primes the same slot verify_design(engine="native") reads, so
         # verification after this pass starts warm — kernel already
         # compiled (or its .so already on disk from an earlier process).
-        cache["nmachine"] = nativize(lowered,
-                                     cache_token=design_token(design))
+        design._exec_cache["nmachine"] = nativize(
+            lowered_machine(design), cache_token=design_token(design))
         return state
 
 

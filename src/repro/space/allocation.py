@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -145,43 +145,102 @@ def flows_realisable(deps: DependenceMatrix, schedule: LinearSchedule,
         for j in range(D.shape[1]))
 
 
+def _full_column_rank(pis: np.ndarray) -> np.ndarray:
+    """Which of the stacked integer matrices ``pis`` ``(C, rows, n)`` have
+    full column rank ``n``: some ``n x n`` minor is non-zero.
+
+    Each minor is an exact int64 Leibniz sum over the column permutations
+    (``n!`` products of ``n`` small entries), evaluated for all matrices at
+    once."""
+    count, rows, n = pis.shape
+    full = np.zeros(count, dtype=bool)
+    if rows < n:
+        return full
+    perms = list(itertools.permutations(range(n)))
+    signs = [1 - 2 * (sum(a > b for a, b in itertools.combinations(perm, 2))
+                      % 2) for perm in perms]
+    for chosen in itertools.combinations(range(rows), n):
+        minor = np.zeros(count, dtype=np.int64)
+        for sign, perm in zip(signs, perms):
+            term = np.full(count, sign, dtype=np.int64)
+            for r, c in zip(chosen, perm):
+                term *= pis[:, r, c]
+            minor += term
+        full |= minor != 0
+    return full
+
+
 def enumerate_space_maps(dims: Sequence[str], label_dim: int,
                          deps: DependenceMatrix | None,
                          schedule: LinearSchedule,
                          decomposer: LinkDecomposer,
                          points: np.ndarray,
                          bound: int = 1,
-                         offsets: Sequence[int] = (0,),
-                         require_conflict_free: bool = True,
-                         require_full_rank: bool = True
-                         ) -> Iterator[SpaceMap]:
+                         offsets: Sequence[int] = (0,)) -> list[SpaceMap]:
     """All feasible space maps with entries in ``[-bound, bound]`` (and
     offsets drawn from ``offsets``), ordered by the paper's "least integer
-    values" preference (:func:`entry_preference`, row-major).
+    values" preference (:func:`entry_preference`, row-major), offsets
+    varying fastest.
 
-    Candidates must pass flow realisability (when local deps exist), full
-    column rank of ``[T; S]`` (conflict-freedom for every problem size) and —
-    if requested — exact conflict-freedom over ``points``.
+    Every base matrix of the box is one row of a ``(C, label_dim, n)``
+    int64 array, and the conditions filter all of them at once:
+
+    * full column rank of ``[T; S]`` (conflict-freedom for every problem
+      size) from exact int64 minors;
+    * flow realisability (when local deps exist): ``S D`` for every
+      candidate in one matmul, each displacement's link-hop count read
+      from one BFS table (:meth:`LinkDecomposer.hop_table`) and compared
+      with its slack ``T d``;
+    * exact conflict-freedom over ``points``, once per surviving base
+      matrix: a constant offset moves every cell alike, so it maps
+      (time, cell) pairs one-to-one and cannot change the verdict.
+
+    :class:`SpaceMap` objects are built for the survivors only.
     """
     dims = tuple(dims)
-    entry_order = sorted(range(-bound, bound + 1), key=entry_preference)
-    rows = list(itertools.product(entry_order, repeat=len(dims)))
+    n = len(dims)
+    entries = np.array(sorted(range(-bound, bound + 1), key=entry_preference),
+                       dtype=np.int64)
+    width = label_dim * n
+    # Row r of ``digits`` is the r-th tuple of itertools.product over the
+    # entries, so the candidates keep the preference order.
+    digits = np.indices((len(entries),) * width).reshape(
+        width, len(entries) ** width).T
+    mats = entries[digits].reshape(len(digits), label_dim, n)
+
+    coeffs = np.array(schedule.coeffs, dtype=np.int64)
+    pis = np.concatenate(
+        [np.broadcast_to(coeffs, (len(mats), 1, n)), mats], axis=1)
+    mats = mats[_full_column_rank(pis)]
+
+    if deps is not None and len(deps) > 0 and len(mats):
+        D = deps.matrix()                                 # n x k
+        slacks = coeffs @ D
+        disps = mats @ D                                  # C x label_dim x k
+        lo = disps.min(axis=(0, 2))
+        hi = disps.max(axis=(0, 2))
+        hops = decomposer.hop_table(lo, hi, int(slacks.max()))
+        index = np.ravel_multi_index(
+            tuple(np.moveaxis(disps, 1, 0) - lo[:, None, None]),
+            tuple(hi - lo + 1))
+        mats = mats[(hops[index] <= slacks).all(axis=1)]
+
+    pts = np.asarray(points, dtype=np.int64)
+    if pts.shape[0] > 1:
+        times = pts @ coeffs
+        keep = np.ones(len(mats), dtype=bool)
+        for c, mat in enumerate(mats):
+            stamped = np.column_stack([times, pts @ mat.T])
+            # One lexsort + adjacent-row comparison: a collision is two
+            # equal consecutive rows in sorted order.
+            ranked = stamped[np.lexsort(stamped.T[::-1])]
+            keep[c] = not (ranked[1:] == ranked[:-1]).all(axis=1).any()
+        mats = mats[keep]
+
     offs = list(itertools.product(sorted(offsets, key=entry_preference),
                                   repeat=label_dim))
-    pts = np.asarray(points, dtype=np.int64)
-    for combo in itertools.product(rows, repeat=label_dim):
-        base = SpaceMap(dims, combo)
-        if require_full_rank and not transformation_full_rank(schedule, base):
-            continue
-        if deps is not None and len(deps) > 0:
-            if not flows_realisable(deps, schedule, base, decomposer):
-                continue
-        for off in offs:
-            candidate = SpaceMap(dims, combo, off)
-            if require_conflict_free and not conflict_free(
-                    schedule, candidate, pts):
-                continue
-            yield candidate
+    return [SpaceMap(dims, matrix, off)
+            for matrix in mats.tolist() for off in offs]
 
 
 def cells_used(space: SpaceMap, points: np.ndarray) -> set[tuple[int, ...]]:

@@ -118,6 +118,39 @@ class LinkDecomposer:
                           limit=max(budget, 1))
         return d is not None and d <= budget
 
+    def hop_table(self, lo: np.ndarray, hi: np.ndarray,
+                  max_gap: int) -> np.ndarray:
+        """Link-hop count of every displacement in the box ``[lo, hi]``,
+        flat in C order; a displacement more than ``max_gap`` hops away
+        reads ``max_gap + 1``.  Comparing an entry with a budget answers
+        :meth:`reachable_within` for the whole box at once.
+
+        One BFS from the origin over :attr:`moves`.  A path of at most
+        ``max_gap`` hops never leaves ``max_gap`` times the moves' extreme
+        coordinates, so searching that box (widened to cover ``[lo, hi]``)
+        finds every hop count up to ``max_gap`` exactly."""
+        reach = max(max_gap, 0)
+        unreachable = reach + 1
+        dim = len(lo)
+        moves = np.array(self.moves, dtype=np.int64).reshape(-1, dim)
+        grid_lo = np.minimum(lo, reach * moves.min(axis=0, initial=0))
+        grid_hi = np.maximum(hi, reach * moves.max(axis=0, initial=0))
+        shape = grid_hi - grid_lo + 1
+        hops = np.full(tuple(shape), unreachable, dtype=np.int64)
+        frontier = -grid_lo[None, :]
+        hops[tuple(frontier.T)] = 0
+        for hop in range(1, reach + 1):
+            nxt = (frontier[:, None, :] + moves[None, :, :]).reshape(-1, dim)
+            nxt = nxt[((nxt >= 0) & (nxt < shape)).all(axis=1)]
+            nxt = nxt[hops[tuple(nxt.T)] == unreachable]
+            if not len(nxt):
+                break
+            frontier = np.unique(nxt, axis=0)
+            hops[tuple(frontier.T)] = hop
+        box = tuple(slice(int(a), int(b) + 1)
+                    for a, b in zip(lo - grid_lo, hi - grid_lo))
+        return np.ascontiguousarray(hops[box]).ravel()
+
     def decompose(self, displacement: tuple[int, ...],
                   budget: int) -> list[tuple[int, ...]] | None:
         """An explicit hop sequence (list of link vectors, length <= budget)

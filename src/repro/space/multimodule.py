@@ -84,39 +84,6 @@ def adjacency_ok(gc: GlobalConstraint,
                for d, gap in zip(disp.tolist(), gaps.tolist()))
 
 
-def _hop_table(decomposer: LinkDecomposer, lo: np.ndarray, hi: np.ndarray,
-               max_gap: int) -> np.ndarray:
-    """Link-hop count of every displacement in the box ``[lo, hi]``, flat in
-    C order; a displacement more than ``max_gap`` hops away reads
-    ``max_gap + 1``.
-
-    One BFS from the origin over ``decomposer.moves``.  A path of at most
-    ``max_gap`` hops never leaves ``max_gap`` times the moves' extreme
-    coordinates, so searching that box (widened to cover ``[lo, hi]``) finds
-    every hop count up to ``max_gap`` exactly."""
-    reach = max(max_gap, 0)
-    unreachable = reach + 1
-    dim = len(lo)
-    moves = np.array(decomposer.moves, dtype=np.int64).reshape(-1, dim)
-    grid_lo = np.minimum(lo, reach * moves.min(axis=0, initial=0))
-    grid_hi = np.maximum(hi, reach * moves.max(axis=0, initial=0))
-    shape = grid_hi - grid_lo + 1
-    hops = np.full(tuple(shape), unreachable, dtype=np.int64)
-    frontier = -grid_lo[None, :]
-    hops[tuple(frontier.T)] = 0
-    for hop in range(1, reach + 1):
-        nxt = (frontier[:, None, :] + moves[None, :, :]).reshape(-1, dim)
-        nxt = nxt[((nxt >= 0) & (nxt < shape)).all(axis=1)]
-        nxt = nxt[hops[tuple(nxt.T)] == unreachable]
-        if not len(nxt):
-            break
-        frontier = np.unique(nxt, axis=0)
-        hops[tuple(frontier.T)] = hop
-    box = tuple(slice(int(a), int(b) + 1)
-                for a, b in zip(lo - grid_lo, hi - grid_lo))
-    return np.ascontiguousarray(hops[box]).ravel()
-
-
 def _endpoint_cells(cands: Sequence[SpaceMap], points: np.ndarray
                     ) -> np.ndarray:
     """Cells of ``points`` under every candidate: ``(candidates, points,
@@ -148,9 +115,9 @@ def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
     candidate_lists: dict[str, list[SpaceMap]] = {}
     with TRACER.span("space.enumerate"):
         for p in order:
-            cands = list(enumerate_space_maps(
+            cands = enumerate_space_maps(
                 p.dims, label_dim, p.deps, p.schedule, decomposer, p.points,
-                bound=p.bound, offsets=p.offsets))
+                bound=p.bound, offsets=p.offsets)
             if not cands:
                 raise NoSpaceMapExists(
                     f"module {p.name}: no locally feasible space map "
@@ -212,8 +179,8 @@ def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
                          for dst, src in ends.values()], axis=0)
             hi = np.max([dst.max(axis=(0, 1)) - src.min(axis=(0, 1))
                          for dst, src in ends.values()], axis=0)
-            hops = _hop_table(decomposer, lo, hi,
-                              max(int(gaps[gi].max()) for gi in linked))
+            hops = decomposer.hop_table(
+                lo, hi, max(int(gaps[gi].max()) for gi in linked))
             box = hi - lo + 1
             strides = np.array(
                 [int(np.prod(box[c + 1:])) for c in range(len(box))],

@@ -282,6 +282,23 @@ class TestLowerNativePass:
                                engine="native")
         assert report.ok, report.failures
 
+    def test_pass_reuses_the_synthesized_plan(self, monkeypatch):
+        """The plan and microcode from synthesis lower the machine; neither
+        is built again."""
+        from repro.core import verify as verify_module
+        from repro.ir import evaluate
+
+        state = run_pipeline(dp_system(), {"n": 6}, FIG1_UNIDIRECTIONAL,
+                             SynthesisOptions())
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("synthesis already built this artifact")
+
+        monkeypatch.setattr(evaluate, "build_execution_plan", rebuilt)
+        monkeypatch.setattr(verify_module, "compile_design", rebuilt)
+        make_pass("lower-native").run(state)
+        assert state.design._exec_cache.get("nmachine") is not None
+
 
 @requires_cc
 class TestGeneratedSource:

@@ -1,26 +1,36 @@
-"""Reference oracle for the joint space search.
+"""Reference oracles for space-map enumeration and the joint space search.
 
-The pairwise-memo backtracker ``solve_multimodule_space`` used before the
-table-driven search, kept verbatim apart from its imports: every
-(constraint, dst candidate, src candidate) verdict is a Python dict of the
-tightest gap per displacement, answered by
-``LinkDecomposer.reachable_within``.  Not collected by pytest (no
-``test_`` prefix); ``test_multimodule_reference.py`` compares the solver
-against it.
+``enumerate_space_maps_reference`` is the per-candidate enumerator used
+before the batched one: it builds a :class:`SpaceMap` for every matrix of
+the box and asks the scalar checks ``transformation_full_rank``,
+``flows_realisable`` and ``conflict_free`` about it, the last once per
+offset.  ``solve_multimodule_space_reference`` is the pairwise-memo
+backtracker used before the table-driven search, kept verbatim apart from
+its imports and its enumerator (the one above): every (constraint, dst
+candidate, src candidate) verdict is a Python dict of the tightest gap per
+displacement, answered by ``LinkDecomposer.reachable_within``.  Neither
+shares code with the production enumerator.  Not collected by pytest (no
+``test_`` prefix); ``test_multimodule_reference.py`` compares the
+production code against both.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import itertools
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.deps.vectors import DependenceMatrix
 from repro.schedule.constraints import GlobalConstraint
+from repro.schedule.linear import LinearSchedule
 from repro.space.allocation import (
     SpaceMap,
     cells_used,
+    conflict_free,
     entry_preference,
-    enumerate_space_maps,
+    flows_realisable,
+    transformation_full_rank,
 )
 from repro.space.diophantine import LinkDecomposer
 from repro.space.multimodule import (
@@ -28,6 +38,42 @@ from repro.space.multimodule import (
     MultiSpaceSolution,
     NoSpaceMapExists,
 )
+
+
+def enumerate_space_maps_reference(dims: Sequence[str], label_dim: int,
+                                   deps: DependenceMatrix | None,
+                                   schedule: LinearSchedule,
+                                   decomposer: LinkDecomposer,
+                                   points: np.ndarray,
+                                   bound: int = 1,
+                                   offsets: Sequence[int] = (0,)
+                                   ) -> Iterator[SpaceMap]:
+    """All feasible space maps with entries in ``[-bound, bound]`` (and
+    offsets drawn from ``offsets``), ordered by the paper's "least integer
+    values" preference (:func:`entry_preference`, row-major).
+
+    Candidates must pass flow realisability (when local deps exist), full
+    column rank of ``[T; S]`` (conflict-freedom for every problem size) and
+    exact conflict-freedom over ``points``.
+    """
+    dims = tuple(dims)
+    entry_order = sorted(range(-bound, bound + 1), key=entry_preference)
+    rows = list(itertools.product(entry_order, repeat=len(dims)))
+    offs = list(itertools.product(sorted(offsets, key=entry_preference),
+                                  repeat=label_dim))
+    pts = np.asarray(points, dtype=np.int64)
+    for combo in itertools.product(rows, repeat=label_dim):
+        base = SpaceMap(dims, combo)
+        if not transformation_full_rank(schedule, base):
+            continue
+        if deps is not None and len(deps) > 0:
+            if not flows_realisable(deps, schedule, base, decomposer):
+                continue
+        for off in offs:
+            candidate = SpaceMap(dims, combo, off)
+            if not conflict_free(schedule, candidate, pts):
+                continue
+            yield candidate
 
 
 def _displacements_ok(disp: np.ndarray, gaps: Sequence[int],
@@ -69,7 +115,7 @@ def solve_multimodule_space_reference(
 
     candidate_lists: dict[str, list[SpaceMap]] = {}
     for p in order:
-        cands = list(enumerate_space_maps(
+        cands = list(enumerate_space_maps_reference(
             p.dims, label_dim, p.deps, p.schedule, decomposer, p.points,
             bound=p.bound, offsets=p.offsets))
         if not cands:

@@ -97,6 +97,14 @@ class TestEnumeration:
                                     LINEAR_BIDIR.decomposer())
             assert transformation_full_rank(CONV_T, s)
 
+    def test_repeated_point_collides_under_every_map(self):
+        """Full column rank makes ``[T; S]`` injective, so only a repeated
+        point can collide, and it does under every map and offset."""
+        pts = np.vstack([CONV_PTS, CONV_PTS[:1]])
+        assert enumerate_space_maps(
+            ("i", "k"), 1, CONV_DEPS, CONV_T, LINEAR_BIDIR.decomposer(),
+            pts, bound=1, offsets=(-1, 0, 1)) == []
+
     def test_cells_used(self):
         s = SpaceMap(("i", "k"), ((0, 1),))
         assert cells_used(s, CONV_PTS) == {(1,), (2,), (3,)}

@@ -20,7 +20,6 @@ from repro.space import (
     adjacency_ok,
     solve_multimodule_space,
 )
-from repro.space.multimodule import _hop_table
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +119,7 @@ class TestHopTable:
         dim = decomposer.space_dim
         lo, hi = np.full(dim, -4), np.full(dim, 3)
         for max_gap in (-1, 0, 1, 3):
-            table = _hop_table(decomposer, lo, hi, max_gap)
+            table = decomposer.hop_table(lo, hi, max_gap)
             box = list(itertools.product(range(-4, 4), repeat=dim))
             assert len(table) == len(box)
             for hops, disp in zip(table.tolist(), box):

@@ -1,9 +1,11 @@
-"""The table-driven joint space search against the reference backtracker.
+"""The batched enumerator and the table-driven joint space search against
+their reference implementations.
 
-``reference_multimodule.py`` keeps the pairwise-memo search verbatim.  For
-every problem family on every stock interconnect, both must pick the same
-maps with the same cell count, or both raise :class:`NoSpaceMapExists`
-with the same message.
+``reference_multimodule.py`` keeps the per-candidate enumerator and the
+pairwise-memo search verbatim.  For every problem family on every stock
+interconnect, both enumerators must return the same list, order
+included, and both searches must pick the same maps with the same cell
+count, or both raise :class:`NoSpaceMapExists` with the same message.
 
 Offsets: "plain" is ``(0,)`` everywhere; "offsets" gives ``(-1, 0, 1)``
 to the modules the pipeline's translated plan widens (dims <= label_dim),
@@ -12,6 +14,8 @@ or to every module when there is none (matmul, at n <= 6).  Widening the
 fewer sizes on the mesh and hex arrays, where the reference is slowest,
 to keep this module under 30 s.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -25,14 +29,19 @@ from repro.problems import (
 )
 from repro.rewrite.pipeline import PassPipeline, make_pass, run_pipeline
 from repro.schedule.constraints import GlobalConstraint
-from repro.schedule.solver import NoScheduleExists
+from repro.schedule.linear import LinearSchedule
+from repro.schedule.solver import NoScheduleExists, valid_candidates
+from repro.space.allocation import enumerate_space_maps
 from repro.space.multimodule import (
     ModuleSpaceProblem,
     NoSpaceMapExists,
     solve_multimodule_space,
 )
 
-from .reference_multimodule import solve_multimodule_space_reference
+from .reference_multimodule import (
+    enumerate_space_maps_reference,
+    solve_multimodule_space_reference,
+)
 
 FAMILIES = {
     "dp": (dp_system, {}),
@@ -89,6 +98,51 @@ def test_same_maps_as_reference(family, interconnect):
             want = outcome(solve_multimodule_space_reference, problems,
                            state.constraints, ic)
             assert got == want, (family, interconnect, n, plan)
+
+
+#: (bound, offsets) of every enumeration case.
+ENUMERATION_BOXES = ((1, (0,)), (1, (-1, 0, 1)), (2, (0,)))
+#: The reference needs ~1.3 s for a box of 5^6 base matrices (3-D modules
+#: on 2-D arrays at bound 2), so boxes that large run on this interconnect
+#: only, with the pipeline's schedule.
+LARGE_BOX = 5 ** 4
+LARGE_BOX_INTERCONNECT = "fig2-extended"
+
+
+@pytest.mark.parametrize("interconnect", sorted(STOCK_INTERCONNECTS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_same_candidates_as_reference_enumerator(family, interconnect):
+    """Each module under the pipeline's schedule and one sampled valid
+    schedule (coefficients in [-2, 2]), in every box."""
+    builder, extra = FAMILIES[family]
+    ic = STOCK_INTERCONNECTS[interconnect]
+    decomposer = ic.decomposer()
+    params = {"n": 4, **extra}
+    try:
+        state = run_pipeline(builder(), params, ic, SynthesisOptions(),
+                             pipeline=SCHEDULED)
+    except NoScheduleExists:
+        pytest.skip("no schedule")
+    for name, m in state.system.modules.items():
+        deps = state.deps[name]
+        valid = valid_candidates(deps, len(m.dims), 2).tolist()
+        sampled = random.Random(f"{family}/{interconnect}/{name}").choice(
+            valid)
+        schedules = [state.schedules[name], LinearSchedule(m.dims, sampled)]
+        points = m.domain.points_array(params)
+        for bound, offsets in ENUMERATION_BOXES:
+            box = (2 * bound + 1) ** (len(m.dims) * ic.label_dim)
+            for schedule in schedules:
+                if box > LARGE_BOX and (interconnect != LARGE_BOX_INTERCONNECT
+                                        or schedule is not schedules[0]):
+                    continue
+                args = (m.dims, ic.label_dim, deps, schedule, decomposer,
+                        points)
+                got = enumerate_space_maps(*args, bound=bound,
+                                           offsets=offsets)
+                want = list(enumerate_space_maps_reference(
+                    *args, bound=bound, offsets=offsets))
+                assert got == want, (name, schedule, bound, offsets)
 
 
 def test_constraint_within_one_module():
