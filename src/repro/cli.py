@@ -134,6 +134,11 @@ def cmd_synthesize(args) -> int:
             raise SystemExit(exc.args[0])
     design = synthesize(system, params, _interconnect(args.interconnect),
                         options, pipeline=pipeline)
+    if not any(len(design.module_points(name))
+               for name in design.system.modules):
+        raise SystemExit(f"{args.problem} at {params}: every module's "
+                         f"domain is empty, so there is nothing to "
+                         f"synthesize")
     RUN_EXTRA["workload"] = {"problem": args.problem, "params": params,
                              "interconnect": args.interconnect,
                              "engine": options.engine}

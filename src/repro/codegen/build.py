@@ -144,6 +144,7 @@ def _read_meta(path: Path) -> dict | None:
 def load_or_build(source_provider: Callable[[], CKernelSource],
                   key_material: "str | None" = None,
                   cache_dir: "str | os.PathLike | None" = None,
+                  node_count: "int | None" = None,
                   ) -> "tuple[NativeKernel | None, str | None]":
     """The loadable kernel for one program, through the artifact cache.
 
@@ -151,6 +152,11 @@ def load_or_build(source_provider: Callable[[], CKernelSource],
     on a warm design-keyed hit, which is what lets warm runs skip codegen
     entirely.  ``key_material`` keys the artifact by design token; when
     ``None`` the key is the emitted source itself.
+
+    ``node_count`` is the value-slot count of the program the kernel will
+    run on.  The emitted kernel hard-codes slot indices, so a cached
+    artifact recorded with another count (built by a lowering with another
+    id layout) is treated as a miss and rebuilt rather than loaded.
 
     Returns ``(kernel, None)`` on success or ``(None, reason)`` when the
     native path is unavailable here: no toolchain, an op with no exact C
@@ -174,7 +180,13 @@ def load_or_build(source_provider: Callable[[], CKernelSource],
     so_path = root / f"{key}.so"
     meta_path = root / f"{key}.json"
 
+    if node_count is None and source is not None:
+        node_count = source.node_count
     meta = _read_meta(meta_path)
+    if (meta is not None and meta.get("status") == "ok"
+            and node_count is not None
+            and meta.get("node_count") != node_count):
+        meta = None     # another id layout: rebuild
     if meta is not None and meta.get("status") == "ok" and so_path.is_file():
         _CACHE_HITS.inc()
         try:

@@ -34,9 +34,12 @@ from repro.ir.vector import VectorProgram, exact_opcode
 #: Exported entry point of every generated kernel.
 KERNEL_SYMBOL = "repro_kernel"
 
-#: Bumped on any change to the generated code's shape or semantics; part
-#: of every native cache key, so stale shared objects can never load.
-EMITTER_VERSION = 1
+#: Bumped on any change to the generated code's shape or semantics, or to
+#: the value-id layout its slot indices follow; part of every native cache
+#: key, so stale shared objects can never load.  Version 2: value ids are
+#: the execution plan's (rule group by rule group), not the lowering's
+#: first-appearance order.
+EMITTER_VERSION = 2
 
 
 class UnsupportedForNative(Exception):

@@ -184,7 +184,8 @@ def lowered_machine(design: Design) -> CompiledMachine:
         if mc is None:
             mc = compile_design(trace, design.schedules, design.space_maps,
                                 design.interconnect.decomposer())
-        lowered = cache["machine"] = lower(mc, trace)
+        with TRACER.span("verify.lower"):
+            lowered = cache["machine"] = lower(mc, trace)
     return lowered
 
 
@@ -204,7 +205,8 @@ def _verify_looped(design: Design, report: VerificationReport, decomposer,
                 with TRACER.span("verify.compile"):
                     lowered = lowered_machine(design)
                 with TRACER.span("verify.machine"):
-                    machine = lowered.execute(inputs, strict=strict_capacity)
+                    machine = lowered.execute(inputs, strict=strict_capacity,
+                                              want_values=False)
                     _annotate_machine(machine.stats)
             else:
                 with TRACER.span("verify.compile"):

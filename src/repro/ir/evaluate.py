@@ -10,9 +10,11 @@ Execution is split into two phases:
 
 * :func:`build_execution_plan` — resolve, for every defined value, which
   rule fires and which values it reads (vectorised first-match guard
-  selection over the enumerated domain arrays), intern every value to a
-  dense integer id, and topologically order the dependence-id graph with an
-  iterative worklist (Kahn).  The plan depends only on the system and the
+  selection over the enumerated domain arrays), give every value one dense
+  integer id, and topologically order the dependence-id graph (Kahn, one
+  frontier at a time).  The plan is int64 arrays per rule group and is the
+  one id space the microcode and the lowered machine index too.  It depends
+  only on the system and the
   parameter binding — never on input values — so callers that execute the
   same system repeatedly (the verification engine, sweeps over random
   seeds) can build it once.
@@ -30,8 +32,8 @@ systems raise :class:`CyclicDependence`, uncovered guards raise
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -68,31 +70,44 @@ class SystemTrace:
 
     ``events`` maps every produced value to its :class:`Event`;
     ``results`` maps host output keys to final values;
-    ``domains`` caches the enumerated domain of each module.
+    ``domains`` holds the enumerated domain of each module; ``plan`` is the
+    :class:`ExecutionPlan` the trace was executed from, when there is one.
 
     Event materialization is *lazy*: :func:`execute_plan` parks the raw
     value buffer on the trace and the per-value :class:`Event` objects are
-    only built when ``events`` is first read.  Verification value-passes and
-    sweeps, which consume only ``results``, never pay for them; consumers of
-    the dependence record (microcode compilation, the dependence graph) see
-    exactly the dict the eager evaluator used to build.
+    only built when ``events`` is first read.  Verification value-passes,
+    sweeps and microcode compilation, which consume only ``results`` or
+    the plan, never pay for them; consumers of the dependence record (the
+    dependence graph, the reference oracles) see exactly the dict the eager
+    evaluator used to build.
     """
 
     def __init__(self, system: RecurrenceSystem, params: dict[str, int],
                  events: "dict[ValueKey, Event] | None" = None,
                  results: "dict[tuple[int, ...], object] | None" = None,
-                 domains: "dict[str, list[tuple[int, ...]]] | None" = None):
+                 domains: "dict[str, list[tuple[int, ...]]] | None" = None,
+                 plan: "ExecutionPlan | None" = None):
         self.system = system
         self.params = params
+        self.plan = plan
         self.results: dict[tuple[int, ...], object] = (
             results if results is not None else {})
-        self.domains: dict[str, list[tuple[int, ...]]] = (
-            domains if domains is not None else {})
+        self._domains = domains
         self._events: dict[ValueKey, Event] = (
             events if events is not None else {})
         #: deferred event source: ``(plan, values)`` — consumed on first
         #: ``events`` access.
         self._pending: "tuple[ExecutionPlan, list[object]] | None" = None
+
+    @property
+    def domains(self) -> "dict[str, list[tuple[int, ...]]]":
+        if self._domains is None:
+            self._domains = self.plan.domains if self.plan is not None else {}
+        return self._domains
+
+    @domains.setter
+    def domains(self, value: "dict[str, list[tuple[int, ...]]]") -> None:
+        self._domains = value
 
     @property
     def events(self) -> "dict[ValueKey, Event]":
@@ -102,7 +117,7 @@ class SystemTrace:
             events = self._events
             keys, rules = plan.keys, plan.rules
             operand_keys = plan.operand_keys
-            for nid in plan.order:
+            for nid in plan.order_list:
                 key = keys[nid]
                 events[key] = Event(key, rules[nid], operand_keys[nid],
                                     values[nid])
@@ -129,31 +144,130 @@ class CyclicDependence(Exception):
     """The system's dependencies contain a cycle (no valid schedule exists)."""
 
 
-@dataclass
+@dataclass(eq=False)
+class RuleGroup:
+    """The values one rule produces: ids ``start`` to ``stop - 1``, one per
+    entry of ``rows`` (ascending rows of the module's point array)."""
+
+    module: str
+    var: str
+    rule: Rule
+    start: int
+    rows: np.ndarray
+    #: ``(count, arity)`` operand ids; arity 0 for :class:`InputRule`
+    operands: np.ndarray
+    #: ``(count, k)`` evaluated host index (:class:`InputRule` only)
+    index: np.ndarray | None
+    #: index into :attr:`ExecutionPlan.streams` of ``(module, var)``
+    stream: int
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.rows)
+
+
 class ExecutionPlan:
     """Value-independent execution structure of one (system, params) pair.
 
-    Parallel arrays over dense value ids: ``keys[i]`` is the value's
-    identity, ``rules[i]`` the rule that produces it, ``operands[i]`` the
-    ids it reads (empty for inputs), ``input_calls[i]`` the pre-evaluated
-    ``(input_name, index)`` for :class:`InputRule` nodes, and ``order`` a
-    dependence-respecting evaluation order of all ids.
+    Every value has one dense int id.  Ids are allotted rule group by rule
+    group (:class:`RuleGroup`), so the whole plan is a handful of int64
+    arrays: per group its point rows, operand ids and host index rows; for
+    the plan a dependence-respecting evaluation ``order`` of all ids and
+    the host outputs as ``(host key, value id)`` pairs.  Microcode
+    compilation and lowering index these arrays directly; the per-id Python
+    views (``keys``, ``rules``, ``operands``, ``input_calls``, ...) are
+    built on first use.
     """
 
-    system: RecurrenceSystem
-    params: dict[str, int]
-    domains: dict[str, list[tuple[int, ...]]]
-    keys: list[ValueKey]
-    rules: list[Rule]
-    operands: list[tuple[int, ...]]
-    operand_keys: list[tuple[ValueKey, ...]]
-    input_calls: list[tuple[str, tuple[int, ...]] | None]
-    order: list[int]
-    outputs: list[tuple[tuple[int, ...], int]]   # (host key, value id)
+    def __init__(self, system: RecurrenceSystem, params: dict[str, int],
+                 points: dict[str, np.ndarray], groups: list[RuleGroup],
+                 streams: list[tuple[str, str]], order: np.ndarray,
+                 outputs: list[tuple[tuple[int, ...], int]]):
+        self.system = system
+        self.params = params
+        self.points = points
+        self.groups = groups
+        self.streams = streams
+        self.order = order
+        self.outputs = outputs
+        self.node_count = groups[-1].stop if groups else 0
+        self._starts = np.array([g.start for g in groups], dtype=np.int64)
 
-    @property
-    def node_count(self) -> int:
-        return len(self.keys)
+    def group_at(self, vid: int) -> RuleGroup:
+        """The rule group value ``vid`` belongs to."""
+        return self.groups[int(np.searchsorted(self._starts, vid,
+                                               side="right")) - 1]
+
+    def key(self, vid: int) -> ValueKey:
+        """One value's identity, without building :attr:`keys`."""
+        group = self.group_at(vid)
+        row = int(group.rows[vid - group.start])
+        return ValueKey(group.module, group.var,
+                        tuple(self.points[group.module][row].tolist()))
+
+    @cached_property
+    def group_of(self) -> np.ndarray:
+        """Rule-group index of every id."""
+        return np.repeat(np.arange(len(self.groups), dtype=np.int64),
+                         [len(g.rows) for g in self.groups])
+
+    @cached_property
+    def stream_of(self) -> np.ndarray:
+        """:attr:`streams` index of every id."""
+        return np.array([g.stream for g in self.groups],
+                        dtype=np.int64)[self.group_of]
+
+    @cached_property
+    def order_list(self) -> list[int]:
+        return self.order.tolist()
+
+    @cached_property
+    def output_ids(self) -> np.ndarray:
+        return np.array([vid for _, vid in self.outputs], dtype=np.int64)
+
+    @cached_property
+    def keys(self) -> list[ValueKey]:
+        out: list[ValueKey] = []
+        for g in self.groups:
+            module, var = g.module, g.var
+            out.extend(ValueKey(module, var, p) for p in
+                       map(tuple, self.points[module][g.rows].tolist()))
+        return out
+
+    @cached_property
+    def rules(self) -> list[Rule]:
+        out: list[Rule] = []
+        for g in self.groups:
+            out.extend([g.rule] * len(g.rows))
+        return out
+
+    @cached_property
+    def operands(self) -> list[tuple[int, ...]]:
+        out: list[tuple[int, ...]] = []
+        for g in self.groups:
+            out.extend(map(tuple, g.operands.tolist()))
+        return out
+
+    @cached_property
+    def operand_keys(self) -> list[tuple[ValueKey, ...]]:
+        keys = self.keys
+        return [tuple(keys[o] for o in ops) for ops in self.operands]
+
+    @cached_property
+    def input_calls(self) -> list[tuple[str, tuple[int, ...]] | None]:
+        out: list[tuple[str, tuple[int, ...]] | None] = []
+        for g in self.groups:
+            if g.index is None:
+                out.extend([None] * len(g.rows))
+            else:
+                name = g.rule.input_name
+                out.extend((name, idx) for idx in map(tuple, g.index.tolist()))
+        return out
+
+    @cached_property
+    def domains(self) -> dict[str, list[tuple[int, ...]]]:
+        return {name: list(map(tuple, pts.tolist()))
+                for name, pts in self.points.items()}
 
 
 def _guard_rows(rule_guard, dims, pts, rows, params) -> np.ndarray:
@@ -173,43 +287,108 @@ def _guard_rows(rule_guard, dims, pts, rows, params) -> np.ndarray:
     return rows[mask]
 
 
-def _operand_points(index_exprs, dims, pts, rows, params) -> list[tuple[int, ...]]:
-    """Evaluate one reference's index expressions over the chosen rows."""
-    if len(rows) == 0:
-        return []
-    sub = pts[rows]
-    cols = [eval_index_int(e, dims, sub, params) for e in index_exprs]
+def _index_rows(index_exprs, dims, pts, params) -> np.ndarray:
+    """One reference's index expressions over a point array, as a
+    ``(len(pts), len(index_exprs))`` int64 array."""
+    cols = [eval_index_int(e, dims, pts, params) for e in index_exprs]
     if not cols:
-        return [() for _ in range(len(rows))]
-    return list(map(tuple, np.column_stack(cols).tolist()))
+        return np.zeros((len(pts), 0), dtype=np.int64)
+    return np.column_stack(cols).astype(np.int64, copy=False)
+
+
+class _PointIndex:
+    """Row of a point in one module's point array: a binary search over
+    the points' mixed-radix codes within their bounding box."""
+
+    def __init__(self, pts: np.ndarray):
+        self.count, self.ndim = pts.shape
+        if self.count == 0 or self.ndim == 0:
+            return
+        self.lo = pts.min(axis=0)
+        self.shape = tuple((pts.max(axis=0) - self.lo + 1).tolist())
+        codes = np.ravel_multi_index(tuple((pts - self.lo).T), self.shape)
+        self.perm = np.argsort(codes, kind="stable")
+        self.codes = codes[self.perm]
+
+    def rows(self, query: np.ndarray) -> np.ndarray:
+        """Row of every query point, ``-1`` where it is not a point."""
+        out = np.full(len(query), -1, dtype=np.int64)
+        if self.count == 0 or len(query) == 0 or query.shape[1] != self.ndim:
+            return out
+        if self.ndim == 0:
+            out[:] = 0
+            return out
+        rel = query - self.lo
+        inside = np.all((rel >= 0) & (rel < np.array(self.shape)), axis=1)
+        codes = np.ravel_multi_index(tuple(rel[inside].T), self.shape)
+        at = np.minimum(np.searchsorted(self.codes, codes), self.count - 1)
+        out[inside] = np.where(self.codes[at] == codes, self.perm[at], -1)
+        return out
+
+
+def _fifo_order(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The order a first-in-first-out Kahn worklist visits ``n`` nodes over
+    the edges ``src -> dst`` (parallel edges counted), seeded with the
+    sources in ascending id order and enqueueing each node's consumers in
+    ascending id order; shorter than ``n`` when the edges close a cycle.
+
+    Computed one frontier at a time: the nodes that become ready while one
+    frontier is popped form the next, ordered by the queue position of
+    the predecessor that readied them, then by id — exactly the order the
+    worklist enqueues them in."""
+    remaining = np.bincount(dst, minlength=n)
+    by_src = dst[np.argsort(src, kind="stable")]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    pos = np.empty(n, dtype=np.int64)
+    frontier = np.flatnonzero(remaining == 0)
+    pos[frontier] = np.arange(len(frontier))
+    parts = [frontier]
+    placed = len(frontier)
+    while len(frontier):
+        starts = ptr[frontier]
+        counts = ptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        first = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        targets = by_src[first + np.arange(total)]
+        ready_at, inverse, hits = np.unique(targets, return_inverse=True,
+                                            return_counts=True)
+        remaining[ready_at] -= hits
+        trigger = np.full(len(ready_at), -1, dtype=np.int64)
+        np.maximum.at(trigger, inverse.ravel(),
+                      np.repeat(pos[frontier], counts))
+        ready = remaining[ready_at] == 0
+        ready_at, trigger = ready_at[ready], trigger[ready]
+        frontier = ready_at[np.lexsort((ready_at, trigger))]
+        pos[frontier] = placed + np.arange(len(frontier))
+        placed += len(frontier)
+        parts.append(frontier)
+    return np.concatenate(parts)
 
 
 def build_execution_plan(system: RecurrenceSystem,
                          params: Mapping[str, int]) -> ExecutionPlan:
     """Resolve rules, operands and evaluation order — no values involved."""
     params = dict(params)
-    domains: dict[str, list[tuple[int, ...]]] = {}
-    domain_sets: dict[str, set[tuple[int, ...]]] = {}
-    pts_arrays: dict[str, np.ndarray] = {}
-    for name, module in system.modules.items():
-        pts = list(module.domain.points(params))
-        domains[name] = pts
-        domain_sets[name] = set(pts)
-        pts_arrays[name] = np.array(pts, dtype=np.int64).reshape(
-            len(pts), len(module.dims))
+    points = {name: module.domain.points_array(params)
+              for name, module in system.modules.items()}
+    indexes: dict[str, _PointIndex] = {}
 
-    keys: list[ValueKey] = []
-    rules: list[Rule] = []
-    key_ids: dict[ValueKey, int] = {}
-    # (module, dims, row indices) per node, for operand evaluation below.
-    node_rows: list[tuple[str, int]] = []
+    def point_index(name: str) -> _PointIndex:
+        index = indexes.get(name)
+        if index is None:
+            index = indexes[name] = _PointIndex(points[name])
+        return index
 
     def scalar_error(key: ValueKey):
         """Re-raise the exact error the recursive evaluator produced for a
         reference that resolves to no computed value."""
-        if key.module not in domain_sets:
+        if key.module not in points:
             raise KeyError(key.module)
-        if key.point not in domain_sets[key.module]:
+        query = np.array([key.point], dtype=np.int64).reshape(1, -1)
+        if point_index(key.module).rows(query)[0] < 0:
             raise KeyError(
                 f"reference to {key} outside the domain of module {key.module}")
         module = system.modules[key.module]
@@ -224,7 +403,7 @@ def build_execution_plan(system: RecurrenceSystem,
     # among the rules by vectorised first-match over the guards.
     selection: list[tuple[str, str, Rule, np.ndarray]] = []
     for name, module in system.modules.items():
-        pts = pts_arrays[name]
+        pts = points[name]
         dims = module.dims
         all_rows = np.arange(pts.shape[0])
         for var, eqn in module.equations.items():
@@ -243,105 +422,100 @@ def build_execution_plan(system: RecurrenceSystem,
                 row = pts[int(remaining[0])].tolist()
                 binding = {**params, **dict(zip(dims, row))}
                 eqn.select(binding)  # raises ValueError("no rule guard holds")
-    # Assign dense ids (per rule group, rows ascending — any order works,
-    # the worklist re-orders by dependence).
-    rule_of_node: list[Rule] = []
-    for name, var, rule, rows in selection:
-        for row in rows.tolist():
-            point = tuple(pts_arrays[name][row].tolist())
-            key = ValueKey(name, var, point)
-            key_ids[key] = len(keys)
-            keys.append(key)
-            rule_of_node.append(rule)
-            node_rows.append((name, row))
-    rules = rule_of_node
 
-    # Pass 2 — operand resolution per (rule, rows) group, vectorised over
-    # the group's point rows.
-    operands: list[tuple[int, ...]] = [()] * len(keys)
-    operand_keys: list[tuple[ValueKey, ...]] = [()] * len(keys)
-    input_calls: list[tuple[str, tuple[int, ...]] | None] = [None] * len(keys)
+    # Dense ids, rule group by rule group (rows ascending); ``var_ids``
+    # maps a (module, var) and a point row to its id (-1: undefined).
+    var_ids: dict[tuple[str, str], np.ndarray] = {}
+    streams: dict[tuple[str, str], int] = {}
+    starts: list[int] = []
     cursor = 0
-    for name, var, rule, rows in selection:
+    for name, var, _, rows in selection:
+        ids = var_ids.get((name, var))
+        if ids is None:
+            ids = var_ids[(name, var)] = np.full(len(points[name]), -1,
+                                                 dtype=np.int64)
+            streams[(name, var)] = len(streams)
+        ids[rows] = np.arange(cursor, cursor + len(rows))
+        starts.append(cursor)
+        cursor += len(rows)
+    n = cursor
+
+    def resolve(module: str, var: str, query: np.ndarray) -> np.ndarray:
+        """Ids of ``module::var`` at the query points (-1: no value)."""
+        ids = var_ids.get((module, var))
+        if module not in points or ids is None:
+            return np.full(len(query), -1, dtype=np.int64)
+        rows = point_index(module).rows(query)
+        return np.where(rows >= 0, ids[rows], -1)
+
+    def first_missing(found: np.ndarray) -> int:
+        missing = np.flatnonzero(found < 0)
+        return int(missing[0]) if len(missing) else -1
+
+    # Pass 2 — operand resolution per rule group, vectorised over the
+    # group's point rows.
+    groups: list[RuleGroup] = []
+    for (name, var, rule, rows), start in zip(selection, starts):
         module = system.modules[name]
         dims = module.dims
-        pts = pts_arrays[name]
-        count = len(rows)
-        ids = range(cursor, cursor + count)
-        cursor += count
+        sub = points[name][rows]
+        index = None
         if isinstance(rule, InputRule):
-            idx_rows = _operand_points(rule.index, dims, pts, rows, params)
-            for nid, idx in zip(ids, idx_rows):
-                input_calls[nid] = (rule.input_name, idx)
-            continue
-        if isinstance(rule, LinkRule):
+            index = _index_rows(rule.index, dims, sub, params)
+            operands = np.zeros((len(rows), 0), dtype=np.int64)
+        elif isinstance(rule, LinkRule):
             src = rule.source
-            src_rows = _operand_points(src.index, dims, pts, rows, params)
-            for nid, sp in zip(ids, src_rows):
-                src_key = ValueKey(src.module, src.var, sp)
-                src_id = key_ids.get(src_key)
-                if src_id is None:
-                    scalar_error(src_key)
-                operands[nid] = (src_id,)
-                operand_keys[nid] = (src_key,)
-            continue
-        # ComputeRule
-        per_ref = [(_operand_points(ref.index, dims, pts, rows, params),
-                    ref.var) for ref in rule.operands]
-        for pos, nid in enumerate(ids):
-            op_ids = []
-            op_keys = []
-            for ref_rows, ref_var in per_ref:
-                op_key = ValueKey(name, ref_var, ref_rows[pos])
-                op_id = key_ids.get(op_key)
-                if op_id is None:
-                    scalar_error(op_key)
-                op_ids.append(op_id)
-                op_keys.append(op_key)
-            operands[nid] = tuple(op_ids)
-            operand_keys[nid] = tuple(op_keys)
+            query = _index_rows(src.index, dims, sub, params)
+            operands = resolve(src.module, src.var, query)[:, None]
+            bad = first_missing(operands[:, 0])
+            if bad >= 0:
+                scalar_error(ValueKey(src.module, src.var,
+                                      tuple(query[bad].tolist())))
+        else:  # ComputeRule
+            queries = [_index_rows(ref.index, dims, sub, params)
+                       for ref in rule.operands]
+            cols = [resolve(name, ref.var, query)
+                    for ref, query in zip(rule.operands, queries)]
+            operands = (np.column_stack(cols) if cols
+                        else np.zeros((len(rows), 0), dtype=np.int64))
+            bad = first_missing(operands.min(axis=1) if cols
+                                else np.zeros(0, dtype=np.int64))
+            if bad >= 0:
+                ref_pos = int(np.argmax(operands[bad] < 0))
+                scalar_error(ValueKey(
+                    name, rule.operands[ref_pos].var,
+                    tuple(queries[ref_pos][bad].tolist())))
+        groups.append(RuleGroup(name, var, rule, start, rows, operands,
+                                index, streams[(name, var)]))
 
     # Pass 3 — iterative worklist (Kahn) over the dependence-id graph.
-    n = len(keys)
-    indegree = [0] * n
-    consumers: list[list[int]] = [[] for _ in range(n)]
-    for nid, ops in enumerate(operands):
-        indegree[nid] = len(ops)
-        for op_id in ops:
-            consumers[op_id].append(nid)
-    ready = deque(nid for nid in range(n) if indegree[nid] == 0)
-    order: list[int] = []
-    while ready:
-        nid = ready.popleft()
-        order.append(nid)
-        for consumer in consumers[nid]:
-            indegree[consumer] -= 1
-            if indegree[consumer] == 0:
-                ready.append(consumer)
+    consumers = [np.repeat(np.arange(g.start, g.stop), g.operands.shape[1])
+                 for g in groups]
+    sources = [g.operands.ravel() for g in groups]
+    order = _fifo_order(
+        n,
+        np.concatenate(sources) if sources else np.zeros(0, np.int64),
+        np.concatenate(consumers) if consumers else np.zeros(0, np.int64))
+    plan = ExecutionPlan(system=system, params=params, points=points,
+                         groups=groups, streams=list(streams), order=order,
+                         outputs=[])
     if len(order) < n:
-        stuck = next(nid for nid in range(n) if indegree[nid] > 0)
-        raise CyclicDependence(f"cycle through {keys[stuck]}")
+        done = np.zeros(n, dtype=bool)
+        done[order] = True
+        stuck = int(np.argmin(done))
+        raise CyclicDependence(f"cycle through {plan.key(stuck)}")
 
-    outputs: list[tuple[tuple[int, ...], int]] = []
     for out in system.outputs:
-        out_pts = list(out.domain.points(params))
-        arr = np.array(out_pts, dtype=np.int64).reshape(
-            len(out_pts), len(out.domain.dims))
-        host_cols = [eval_index_int(e, out.domain.dims, arr, params)
-                     for e in out.key]
-        host_rows = (list(map(tuple, np.column_stack(host_cols).tolist()))
-                     if host_cols else [() for _ in out_pts])
-        for p, host_key in zip(out_pts, host_rows):
-            key = ValueKey(out.module, out.var, p)
-            nid = key_ids.get(key)
-            if nid is None:
-                scalar_error(key)
-            outputs.append((host_key, nid))
-
-    return ExecutionPlan(system=system, params=params, domains=domains,
-                         keys=keys, rules=rules, operands=operands,
-                         operand_keys=operand_keys, input_calls=input_calls,
-                         order=order, outputs=outputs)
+        out_pts = out.domain.points_array(params)
+        host_rows = _index_rows(out.key, out.domain.dims, out_pts, params)
+        found = resolve(out.module, out.var, out_pts)
+        bad = first_missing(found)
+        if bad >= 0:
+            scalar_error(ValueKey(out.module, out.var,
+                                  tuple(out_pts[bad].tolist())))
+        plan.outputs.extend(zip(map(tuple, host_rows.tolist()),
+                                found.tolist()))
+    return plan
 
 
 def execute_plan(plan: ExecutionPlan,
@@ -350,13 +524,12 @@ def execute_plan(plan: ExecutionPlan,
     missing = set(plan.system.input_names) - set(inputs)
     if missing:
         raise KeyError(f"missing input bindings: {sorted(missing)}")
-    trace = SystemTrace(plan.system, dict(plan.params))
-    trace.domains = plan.domains
+    trace = SystemTrace(plan.system, dict(plan.params), plan=plan)
     values: list[object] = [None] * plan.node_count
     rules = plan.rules
     operands = plan.operands
     input_calls = plan.input_calls
-    for nid in plan.order:
+    for nid in plan.order_list:
         rule = rules[nid]
         if type(rule) is ComputeRule:
             ops = operands[nid]
@@ -397,14 +570,12 @@ def structural_trace(system: RecurrenceSystem,
     """Dependence-only trace: every event carries ``value=None``.
 
     Placement and routing (:func:`~repro.machine.microcode.compile_design`)
-    read only keys, rules and operand edges, so this is enough to validate a
-    design's physical feasibility — channel capacity, locality, causality —
-    without binding any host inputs.  ``plan`` is the system's execution
-    plan for ``params`` when the caller already holds one; it is built
-    otherwise."""
+    read only the trace's plan, so this is enough to validate a design's
+    physical feasibility — channel capacity, locality, causality — without
+    binding any host inputs.  ``plan`` is the system's execution plan for
+    ``params`` when the caller already holds one; it is built otherwise."""
     if plan is None:
         plan = build_execution_plan(system, params)
-    trace = SystemTrace(system, dict(plan.params))
-    trace.domains = plan.domains
+    trace = SystemTrace(system, dict(plan.params), plan=plan)
     trace._pending = (plan, [None] * plan.node_count)
     return trace

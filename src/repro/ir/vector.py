@@ -451,7 +451,7 @@ def lower_plan(plan: ExecutionPlan) -> VectorProgram:
     rules = plan.rules
     operands = plan.operands
     input_calls = plan.input_calls
-    for nid in plan.order:
+    for nid in plan.order_list:
         rule = rules[nid]
         if type(rule) is ComputeRule:
             entries.append((nid, rule.op, operands[nid]))
@@ -471,8 +471,7 @@ def _check_bindings(plan: ExecutionPlan,
 
 
 def _trace_from_row(plan: ExecutionPlan, row: np.ndarray) -> SystemTrace:
-    trace = SystemTrace(plan.system, dict(plan.params))
-    trace.domains = plan.domains
+    trace = SystemTrace(plan.system, dict(plan.params), plan=plan)
     values = row.tolist()     # int64 -> exact Python ints; object -> as-is
     trace._pending = (plan, values)
     for host_key, nid in plan.outputs:

@@ -6,8 +6,9 @@ but every hop and operand is a hash lookup and every cycle rescans all
 register files for the pressure statistic.  This module *lowers* a
 :class:`~repro.machine.microcode.Microcode` once into integer-indexed form:
 
-* every :class:`~repro.ir.evaluate.ValueKey` and cell label is interned to a
-  dense id;
+* values keep the execution plan's dense ids and cells get dense ids, so
+  every structural question is a sort or a search over int64 arrays of
+  (cell, value) codes — no value key is interned or hashed;
 * operand availability, hop sources, channel capacities and register
   residency are validated **structurally** at lowering time — this subsumes
   the interpreter's ``_last_uses`` reclamation and its per-cycle
@@ -38,10 +39,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.ir.arrayeval import eval_index_int
 from repro.ir.evaluate import SystemTrace, ValueKey
 from repro.machine.errors import CapacityError, MissingOperandError
-from repro.machine.microcode import Microcode
+from repro.machine.microcode import Microcode, changes, cell_codes, ranges
 from repro.machine.simulator import MachineRun, MachineStats
 from repro.obs.events import EventSink, MachineEvent, canonical_order
 
@@ -54,7 +54,8 @@ _NEVER = -(10 ** 9)
 class CompiledMachine:
     """A lowered microcode program plus its precomputed statistics."""
 
-    keys: list[ValueKey]
+    #: value id -> key, over the execution plan's ids (built on first use)
+    keys: Sequence[ValueKey]
     #: pre-evaluated host fetches: (value id, input name, input index)
     injections: list[tuple[int, str, tuple[int, ...]]]
     #: execution-ordered operation table: (destination id, op, operand ids)
@@ -66,13 +67,13 @@ class CompiledMachine:
     stats: MachineStats
     #: first capacity violation, pre-formatted for the ``strict`` raise
     strict_error: str | None
+    #: ``keys[vid]`` for every produced id, aligned with ``produced`` — the
+    #: per-execution ``values`` dict zips these instead of re-indexing
+    produced_keys: Sequence[ValueKey]
     #: structural event stream (canonical order) — only when the machine
     #: was lowered with ``record_events=True``; value-independent, so one
     #: lowering serves every execution
     events: "list[MachineEvent] | None" = None
-    #: ``keys[vid]`` for every produced id, aligned with ``produced`` — the
-    #: per-execution ``values`` dict zips these instead of re-indexing
-    produced_keys: "list[ValueKey] | None" = None
 
     def replay_events(self, sink: "EventSink") -> None:
         """Replay the precomputed structural event stream (requires
@@ -101,22 +102,21 @@ class CompiledMachine:
                      ) -> tuple[dict, dict]:
         """``(values, results)`` dicts over an executed value buffer, using
         the id tuples precomputed at lowering time."""
-        produced_keys = self.produced_keys
-        if produced_keys is None:   # lowered by an older pickle/caller
-            keys = self.keys
-            produced_keys = self.produced_keys = [
-                keys[vid] for vid in self.produced]
-        values = dict(zip(produced_keys, (buf[vid] for vid in self.produced)))
+        values = dict(zip(self.produced_keys,
+                          (buf[vid] for vid in self.produced)))
         results = {host_key: buf[vid] for host_key, vid in self.outputs}
         return values, results
 
     def execute(self, inputs: Mapping[str, Callable],
                 strict: bool = True,
-                sink: "EventSink | None" = None) -> MachineRun:
+                sink: "EventSink | None" = None,
+                want_values: bool = True) -> MachineRun:
         """Run the lowered program: one pass over the operation table.
 
         ``sink`` replays the precomputed structural event stream (requires
-        ``lower(..., record_events=True)``).
+        ``lower(..., record_events=True)``).  ``want_values=False`` skips
+        the per-key ``values`` dict (verification reads only ``results``
+        and ``stats``), so no value key is ever built.
         """
         if strict and self.strict_error is not None:
             raise CapacityError(self.strict_error)
@@ -130,45 +130,318 @@ class CompiledMachine:
                 buf[vid] = buf[operand_ids[0]]
             else:
                 buf[vid] = op(*[buf[i] for i in operand_ids])
-        values, results = self.result_dicts(buf)
+        if want_values:
+            values, results = self.result_dicts(buf)
+        else:
+            values = {}
+            results = {host_key: buf[vid] for host_key, vid in self.outputs}
         return MachineRun(values, results, self.copy_stats())
 
 
-def _order_group(ops: list) -> list:
-    """Lexicographic topological order of one cell's same-cycle operations
-    (smallest original position first among ready nodes) — the pure-python
-    equivalent of the interpreter's networkx ordering."""
-    if len(ops) <= 1:
-        return ops
-    index: dict[ValueKey, int] = {}
-    for i, (_, op) in enumerate(ops):
-        index[op.key] = i
-    indeg = [0] * len(ops)
-    edges: list[list[int]] = [[] for _ in ops]
-    for i, (_, op) in enumerate(ops):
-        for operand in op.operands:
-            if operand == op.key:
+def _per_code(codes: np.ndarray, cycles: np.ndarray, latest: bool,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``codes`` and, per code, the earliest (or latest)
+    of its ``cycles``."""
+    by = np.lexsort((cycles, codes))
+    codes, cycles = codes[by], cycles[by]
+    pick = changes(codes)           # first entry of every code
+    if latest:
+        pick = np.r_[pick[1:], True][:len(codes)]
+    return codes[pick], cycles[pick]
+
+
+def _lookup(codes: np.ndarray, table: np.ndarray, query: np.ndarray,
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """``(table value, found)`` of every query code in sorted ``codes``."""
+    if len(codes) == 0:
+        return (np.zeros(len(query), dtype=np.int64),
+                np.zeros(len(query), dtype=bool))
+    at = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
+    return table[at], codes[at] == query
+
+
+def _topological(members: list[tuple[int, tuple[int, ...]]],
+                 ) -> "list[int] | None":
+    """Lexicographic topological order (smallest position first among
+    ready nodes) of one cell's same-cycle operations ``(value id, operand
+    ids)``, or ``None`` when they depend on each other cyclically — the
+    pure-python equivalent of the interpreter's networkx ordering."""
+    index = {vid: i for i, (vid, _) in enumerate(members)}
+    indeg = [0] * len(members)
+    edges: list[list[int]] = [[] for _ in members]
+    for i, (vid, operands) in enumerate(members):
+        for operand in operands:
+            if operand == vid:
                 continue
             j = index.get(operand)
             if j is not None:
                 edges[j].append(i)
                 indeg[i] += 1
-    ready = [i for i in range(len(ops)) if indeg[i] == 0]
+    ready = [i for i in range(len(members)) if indeg[i] == 0]
     heapq.heapify(ready)
     out = []
     while ready:
         i = heapq.heappop(ready)
-        out.append(ops[i])
+        out.append(i)
         for j in edges[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
-    if len(out) < len(ops):
-        _, op = ops[0]
-        raise MissingOperandError(
-            f"cyclic intra-cycle dependence at cell {op.cell}, "
-            f"cycle {op.cycle}")
-    return out
+    return out if len(out) == len(members) else None
+
+
+class _Lowering:
+    """The array work of one :func:`lower` call.
+
+    Cells get dense ids; a (cell, value) pair is the code
+    ``cell * value_count + value``, so residency, last use and first
+    arrival are sorted code tables searched in bulk."""
+
+    def __init__(self, mc: Microcode, trace: SystemTrace):
+        t = self.t = mc.tables(trace)
+        self.n = len(t.keys)
+        self.first, self.last = mc.first_cycle, mc.last_cycle
+        self.span = self.last - self.first + 1
+
+        def in_range(cycles: np.ndarray) -> np.ndarray:
+            return np.flatnonzero((cycles >= self.first)
+                                  & (cycles <= self.last))
+
+        self.inj = in_range(t.inj_cycle)
+        self.ops = in_range(t.op_cycle)
+        # Hops in the interpreter's phase-1 order: by cycle, stable.
+        hops = in_range(t.hop_cycle)
+        self.hops = hops[np.argsort(t.hop_cycle[hops], kind="stable")]
+
+        codes, _ = cell_codes(t.inj_cell, t.op_cell, t.hop_src, t.hop_dst)
+        cells, dense = np.unique(np.concatenate(codes), return_inverse=True)
+        dense = dense.ravel()
+        self.n_cells = len(cells)
+        bounds = np.cumsum([0] + [len(c) for c in codes]).tolist()
+        self.inj_cid, self.op_cid, self.src_cid, self.dst_cid = (
+            dense[a:b] for a, b in zip(bounds, bounds[1:]))
+        self.dense = dense
+
+        # Last local use per (cell, value).  Like the interpreter's
+        # ``_last_uses`` this scans the *unfiltered* event streams, so an
+        # out-of-range read still pins its operand's register.
+        reader = np.repeat(np.arange(len(t.op_id)), np.diff(t.op_ptr))
+        n = self.n
+        self.use_codes, self.last_use = _per_code(
+            np.concatenate([self.op_cid[reader] * n + t.op_args,
+                            self.src_cid * n + t.hop_id]),
+            np.concatenate([t.op_cycle[reader], t.hop_cycle]), latest=True)
+
+        # Every arrival of a value in a cell: injections, operations and
+        # hop destinations, in range.
+        inj, ops, hops = self.inj, self.ops, self.hops
+        self.arrival_code = np.concatenate([
+            self.inj_cid[inj] * n + t.inj_id[inj],
+            self.op_cid[ops] * n + t.op_id[ops],
+            self.dst_cid[hops] * n + t.hop_id[hops]])
+        self.arrival_cycle = np.concatenate([
+            t.inj_cycle[inj], t.op_cycle[ops], t.hop_cycle[hops]])
+        self.pairs, self.first_arrival = _per_code(
+            self.arrival_code, self.arrival_cycle, latest=False)
+        self.operands = t.operand_tuples(self.ops)
+
+    def arrived(self, cells: np.ndarray, vids: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """First arrival cycle of each (cell, value), and whether any."""
+        return _lookup(self.pairs, self.first_arrival, cells * self.n + vids)
+
+    def check_hops(self) -> tuple[list[tuple], "str | None"]:
+        """Hop sources must hold the value before the cycle; returns the
+        capacity violations and the strict error of the first."""
+        t, hops = self.t, self.hops
+        cycle = t.hop_cycle[hops]
+        # A hop reads the pre-cycle register state, so its source value
+        # must have arrived *strictly* earlier; reclamation can never have
+        # evicted it because the hop itself is a local use.
+        arrived, found = self.arrived(self.src_cid[hops], t.hop_id[hops])
+        missing = np.flatnonzero(~found | (arrived >= cycle))
+        if len(missing):
+            h = hops[missing[0]]
+            raise MissingOperandError(
+                f"cycle {int(t.hop_cycle[h])}: hop of "
+                f"{t.keys[int(t.hop_id[h])]} out of "
+                f"{tuple(t.hop_src[h].tolist())} but the value is not there")
+        # One value per (link, stream) per cycle: every change of value
+        # along a channel within a cycle is a violation.
+        channel = ((self.src_cid[hops] * self.n_cells + self.dst_cid[hops])
+                   * len(t.streams) + t.hop_stream[hops])
+        by = np.lexsort((np.arange(len(hops)), channel, cycle))
+        vids = t.hop_id[hops][by]
+        again = ~changes(cycle[by], channel[by])
+        again[1:] &= vids[1:] != vids[:-1]
+        violations = [
+            (int(t.hop_cycle[h]), tuple(t.hop_src[h].tolist()),
+             tuple(t.hop_dst[h].tolist()), t.streams[int(t.hop_stream[h])])
+            for h in hops[np.sort(by[again])].tolist()]
+        if not violations:
+            return violations, None
+        cycle, src, dst, stream = violations[0]
+        return violations, (f"cycle {cycle}: stream {stream} needs "
+                            f"link {src}->{dst} twice")
+
+    def program_order(self) -> np.ndarray:
+        """Execution order of the in-range operations (indices into
+        ``self.ops``), validating every operand read.
+
+        Cycle-major; within a cycle, cells in first-appearance order;
+        within a cell, program order — made topological (smallest
+        position first) in the groups where an operation reads a value a
+        later one produces, or where a value is produced twice."""
+        t, ops, n = self.t, self.ops, self.n
+        count = len(ops)
+        pos = np.arange(count)
+        cycle, cid, vid = t.op_cycle[ops], self.op_cid[ops], t.op_id[ops]
+        by = np.lexsort((pos, cid, cycle))
+        new = changes(cycle[by], cid[by])
+        group = np.empty(count, dtype=np.int64)
+        group[by] = np.cumsum(new) - 1
+        heads = by[new]                 # first member of every group
+        rank = np.empty(len(heads), dtype=np.int64)
+        rank[np.lexsort((heads, cycle[heads]))] = np.arange(len(heads))
+        program = np.lexsort((pos, rank[group]))
+
+        lens = np.diff(t.op_ptr)[ops]
+        owner = np.repeat(pos, lens)
+        args = t.op_args[ranges(t.op_ptr[ops], lens)]
+        member = group * n + vid
+        by_member = np.argsort(member, kind="stable")
+        members = member[by_member]
+        read = group[owner] * n + args
+        at = np.minimum(np.searchsorted(members, read), max(count - 1, 0))
+        inner = (args != vid[owner]) & (members[at] == read)
+        backward = inner & (by_member[at] > owner)
+        twice = by_member[1:][members[1:] == members[:-1]]
+        tangled = np.unique(np.r_[group[owner[backward]], group[twice]])
+
+        cyclic = len(heads)
+        ranks = rank[group[program]]
+        for g in tangled.tolist():
+            a, b = np.searchsorted(ranks, [rank[g], rank[g] + 1]).tolist()
+            members_g = program[a:b].tolist()
+            order = _topological([(int(vid[i]), self.operands[i])
+                                  for i in members_g])
+            if order is None:
+                cyclic = min(cyclic, int(rank[g]))
+            else:
+                program[a:b] = [members_g[i] for i in order]
+
+        # Every operand must be in the cell by the operation's cycle; the
+        # first failure (or intra-cycle cycle) in program order raises.
+        lens = lens[program]
+        owner = np.repeat(np.arange(count), lens)
+        args = t.op_args[ranges(t.op_ptr[ops[program]], lens)]
+        arrived, found = self.arrived(cid[program][owner], args)
+        late = np.flatnonzero(~found | (arrived > cycle[program][owner]))
+        late_rank = (int(ranks[owner[late[0]]]) if len(late)
+                     else len(heads))
+        if cyclic < len(heads) and cyclic <= late_rank:
+            head = int(heads[np.flatnonzero(rank == cyclic)[0]])
+            raise MissingOperandError(
+                f"cyclic intra-cycle dependence at cell "
+                f"{tuple(t.op_cell[ops[head]].tolist())}, cycle "
+                f"{int(cycle[head])}")
+        if len(late):
+            i = int(program[owner[late[0]]])
+            raise MissingOperandError(
+                f"cycle {int(cycle[i])}, cell "
+                f"{tuple(t.op_cell[ops[i]].tolist())}: "
+                f"{t.keys[int(vid[i])]} needs {t.keys[int(args[late[0]])]}, "
+                f"which never reaches the cell in time")
+        return program
+
+    def release(self, reclaim_registers: bool) -> tuple[np.ndarray, ...]:
+        """Per (cell, value) pair: whether it is protected (a host output)
+        and the end-of-cycle reclamation after its last local use (or on
+        arrival when it is never read locally)."""
+        vids = self.pairs % max(self.n, 1)
+        protected = np.isin(vids, self.t.plan.output_ids)
+        used, has_use = _lookup(self.use_codes, self.last_use, self.pairs)
+        reclaim_at = np.maximum(self.first_arrival,
+                                np.where(has_use, used, _NEVER))
+        release = np.where(protected | (not reclaim_registers), self.last,
+                           reclaim_at)
+        return protected, reclaim_at, release
+
+    def max_registers(self, release: np.ndarray) -> int:
+        """Register pressure: a vectorised interval-overlap sweep.
+
+        A value occupies a register in a cell from its first arrival until
+        its release (the last cycle when protected or reclamation is off);
+        re-arrivals after the release add isolated single-cycle
+        residencies.  The interpreter measures pressure at the end of
+        every cycle *before* reclaiming, which is exactly the overlap
+        count of these closed intervals."""
+        if not len(self.pairs) or not self.n_cells:
+            return 0
+        pair_of = np.searchsorted(self.pairs, self.arrival_code)
+        again = np.flatnonzero(self.arrival_cycle > release[pair_of])
+        starts = np.r_[self.first_arrival, self.arrival_cycle[again]]
+        ends = np.r_[np.minimum(release, self.last),
+                     self.arrival_cycle[again]]
+        cells = np.r_[self.pairs, self.arrival_code[again]] // self.n
+        base = cells * (self.span + 1) - self.first
+        size = self.n_cells * (self.span + 1)
+        deltas = (np.bincount(base + starts, minlength=size)
+                  - np.bincount(base + ends + 1, minlength=size))
+        return int(np.cumsum(deltas).max())
+
+    def events(self, protected: np.ndarray, reclaim_at: np.ndarray,
+               reclaim_registers: bool) -> list[MachineEvent]:
+        """The interpreter's live event stream, in canonical order."""
+        t, n = self.t, self.n
+        keys, streams = t.keys, t.streams
+        events = []
+        for h in self.hops.tolist():
+            events.append(MachineEvent(
+                "hop", int(t.hop_cycle[h]), tuple(t.hop_dst[h].tolist()),
+                repr(keys[int(t.hop_id[h])]),
+                src=tuple(t.hop_src[h].tolist()),
+                stream=streams[int(t.hop_stream[h])]))
+        for i in self.inj.tolist():
+            events.append(MachineEvent(
+                "inject", int(t.inj_cycle[i]), tuple(t.inj_cell[i].tolist()),
+                repr(keys[int(t.inj_id[i])]), name=t.inj_calls[i][0]))
+        for i in self.ops.tolist():
+            op, stream = t.kinds[int(t.op_kind[i])]
+            events.append(MachineEvent(
+                "fire", int(t.op_cycle[i]), tuple(t.op_cell[i].tolist()),
+                repr(keys[int(t.op_id[i])]),
+                name=op.name if op is not None else "copy", stream=stream))
+        for host_key, vid in t.plan.outputs:
+            events.append(MachineEvent(
+                "output", int(t.time[vid]), tuple(t.cell[vid].tolist()),
+                repr(keys[vid]), name=str(host_key)))
+        if reclaim_registers:
+            # The coordinates of every dense cell id.
+            rows = np.concatenate([t.inj_cell, t.op_cell, t.hop_src,
+                                   t.hop_dst])
+            some_row = np.zeros(self.n_cells, dtype=np.int64)
+            some_row[self.dense] = np.arange(len(self.dense))
+            cells = list(map(tuple, rows[some_row].tolist()))
+            # End-of-cycle reclamation after the last local use (or on
+            # arrival when the value is never read locally); re-arrivals
+            # after that point are reclaimed again the cycle they land.
+            reclaimed = np.flatnonzero(~protected & (reclaim_at <= self.last))
+            for p in reclaimed.tolist():
+                code = int(self.pairs[p])
+                events.append(MachineEvent(
+                    "reclaim", int(reclaim_at[p]), cells[code // n],
+                    repr(keys[code % n])))
+            pair_of = np.searchsorted(self.pairs, self.arrival_code)
+            again = (~protected[pair_of]
+                     & (self.arrival_cycle > reclaim_at[pair_of]))
+            for code, cycle in sorted(set(zip(
+                    self.arrival_code[again].tolist(),
+                    self.arrival_cycle[again].tolist()))):
+                events.append(MachineEvent(
+                    "reclaim", cycle, cells[code // n],
+                    repr(keys[code % n])))
+        return canonical_order(events)
 
 
 def lower(mc: Microcode, trace: SystemTrace,
@@ -182,258 +455,66 @@ def lower(mc: Microcode, trace: SystemTrace,
     ``record_events`` the cycle-level event stream (injection, fire, hop,
     output, register-reclaim) is also derived structurally — it matches the
     interpreter's live emission event for event.
+
+    Works on the microcode's
+    :class:`~repro.machine.microcode.MicrocodeTables`, in the execution
+    plan's value ids, so no value key is built unless an error message or
+    the event stream needs it.
     """
-    first, last = mc.first_cycle, mc.last_cycle
-    injections = [e for e in mc.injections if first <= e.cycle <= last]
-    operations = [op for op in mc.operations if first <= op.cycle <= last]
-    hops = [h for h in mc.hops if first <= h.cycle <= last]
-
-    key_ids: dict[ValueKey, int] = {}
-    keys: list[ValueKey] = []
-
-    def intern(key: ValueKey) -> int:
-        vid = key_ids.get(key)
-        if vid is None:
-            vid = key_ids[key] = len(keys)
-            keys.append(key)
-        return vid
-
-    cell_ids: dict[Cell, int] = {}
-
-    def intern_cell(cell: Cell) -> int:
-        cid = cell_ids.get(cell)
-        if cid is None:
-            cid = cell_ids[cell] = len(cell_ids)
-        return cid
-
-    op_records = []   # (cycle, cell_id, op, key_id, operand_ids)
-    for op in operations:
-        cid = intern_cell(op.cell)
-        operand_ids = tuple(intern(o) for o in op.operands)
-        op_records.append((op.cycle, cid, op, intern(op.key), operand_ids))
-    hop_records = []  # (cycle, src_id, dst_id, key_id, hop)
-    for h in hops:
-        hop_records.append((h.cycle, intern_cell(h.src), intern_cell(h.dst),
-                            intern(h.key), h))
-    inj_records = []  # (cycle, cell_id, key_id, event)
-    for e in injections:
-        inj_records.append((e.cycle, intern_cell(e.cell), intern(e.key), e))
-
-    # Last local use per (cell, value).  Like the interpreter's
-    # ``_last_uses`` this scans the *unfiltered* event streams, so an
-    # out-of-range read still pins its operand's register.
-    last_use: dict[tuple[int, int], int] = {}
-    for op in mc.operations:
-        cid = intern_cell(op.cell)
-        for operand in op.operands:
-            pair = (cid, intern(operand))
-            if op.cycle > last_use.get(pair, _NEVER):
-                last_use[pair] = op.cycle
-    for h in mc.hops:
-        pair = (intern_cell(h.src), intern(h.key))
-        if h.cycle > last_use.get(pair, _NEVER):
-            last_use[pair] = h.cycle
-
-    # -- arrival cycles per (cell, value) -----------------------------------
-    arrivals: dict[tuple[int, int], list[int]] = {}
-    for cycle, cid, vid, _ in inj_records:
-        arrivals.setdefault((cid, vid), []).append(cycle)
-    for cycle, cid, _, kid, _ in op_records:
-        arrivals.setdefault((cid, kid), []).append(cycle)
-    for cycle, _, did, kid, _ in hop_records:
-        arrivals.setdefault((did, kid), []).append(cycle)
-    first_arrival = {pair: min(cs) for pair, cs in arrivals.items()}
-
-    # -- hop validation + capacity replay (interpreter's phase-1 order) -----
-    # A hop reads the pre-cycle register state, so its source value must
-    # have arrived *strictly* earlier; reclamation can never have evicted it
-    # because the hop itself is a local use.
-    violations: list[tuple] = []
-    strict_error: str | None = None
-    hop_records.sort(key=lambda r: r[0])   # stable: original order per cycle
-    link_usage: dict[tuple[int, int, tuple[str, str]], int] = {}
-    current_cycle: int | None = None
-    for cycle, sid, did, kid, h in hop_records:
-        if cycle != current_cycle:
-            link_usage.clear()
-            current_cycle = cycle
-        if first_arrival.get((sid, kid), cycle) >= cycle:
-            raise MissingOperandError(
-                f"cycle {cycle}: hop of {h.key} out of {h.src} but "
-                f"the value is not there")
-        channel = (sid, did, h.stream)
-        holder = link_usage.get(channel)
-        if holder is not None and holder != kid:
-            violations.append((cycle, h.src, h.dst, h.stream))
-            if strict_error is None:
-                strict_error = (f"cycle {cycle}: stream {h.stream} needs "
-                                f"link {h.src}->{h.dst} twice")
-        link_usage[channel] = kid
-
-    # -- operation ordering + operand validation ----------------------------
-    # Cycle-major; within a cycle, cells in first-appearance order; within a
-    # cell, lexicographic topological order — the interpreter's schedule.
-    groups: dict[tuple[int, int], list] = {}
-    group_order: list[tuple[int, int]] = []
-    for rec in sorted(op_records, key=lambda r: r[0]):
-        gk = (rec[0], rec[1])
-        if gk not in groups:
-            groups[gk] = []
-            group_order.append(gk)
-        groups[gk].append((rec[3], rec[2]))
-    program: list[tuple[int, object, tuple[int, ...]]] = []
-    op_produced: list[tuple[int, int]] = []   # (cycle, value id), in order
-    for gk in group_order:
-        cycle, cid = gk
-        for kid, op in _order_group(groups[gk]):
-            operand_ids = tuple(key_ids[o] for o in op.operands)
-            for oid, operand in zip(operand_ids, op.operands):
-                arrived = first_arrival.get((cid, oid))
-                if arrived is None or arrived > cycle:
-                    raise MissingOperandError(
-                        f"cycle {cycle}, cell {op.cell}: {op.key} needs "
-                        f"{operand}, which never reaches the cell in time")
-            program.append((kid, op.op, operand_ids))
-            op_produced.append((cycle, kid))
+    low = _Lowering(mc, trace)
+    t, inj, ops = low.t, low.inj, low.ops
+    violations, strict_error = low.check_hops()
+    program = low.program_order()
+    kind_ops = [op for op, _ in t.kinds]
+    program_rows = list(zip(
+        t.op_id[ops[program]].tolist(),
+        [kind_ops[k] for k in t.op_kind[ops[program]].tolist()],
+        [low.operands[i] for i in program.tolist()]))
     # ``values`` insertion order in the interpreter: per cycle, injections
     # (phase 2) before operations (phase 3).
-    seq = [(cycle, 0, pos, vid)
-           for pos, (cycle, _, vid, _) in enumerate(inj_records)]
-    seq += [(cycle, 1, pos, vid)
-            for pos, (cycle, vid) in enumerate(op_produced)]
-    seq.sort()
-    produced = [vid for _, _, _, vid in seq]
-    produced_set = set(produced)
+    cycles = np.concatenate([t.inj_cycle[inj], t.op_cycle[ops[program]]])
+    phase = np.repeat([0, 1], [len(inj), len(ops)])
+    seq = np.lexsort((np.r_[np.arange(len(inj)), np.arange(len(ops))],
+                      phase, cycles))
+    produced_ids = np.concatenate([t.inj_id[inj], t.op_id[ops[program]]])
+    produced_ids = produced_ids[seq]
 
-    # -- protected output values (never reclaimed) --------------------------
-    protected: set[int] = set()
-    system, params = trace.system, trace.params
-    for out in system.outputs:
-        for p in out.domain.points(params):
-            vid = key_ids.get(ValueKey(out.module, out.var, p))
-            if vid is not None:
-                protected.add(vid)
-
-    # -- register pressure: vectorised interval-overlap sweep ---------------
-    # A value occupies a register in a cell from its first arrival until the
-    # end-of-cycle reclamation after its last local use (forever when
-    # protected or reclamation is off); re-arrivals after reclamation add
-    # isolated single-cycle residencies.  The interpreter measures pressure
-    # at the end of every cycle *before* reclaiming, which is exactly the
-    # overlap count of these closed intervals.
-    max_regs = 0
-    n_cells = len(cell_ids)
-    span = last - first + 1
-    if arrivals and n_cells:
-        starts: list[int] = []
-        ends: list[int] = []
-        cells_of: list[int] = []
-        for (cid, vid), cycles in arrivals.items():
-            a0 = min(cycles)
-            if vid in protected or not reclaim_registers:
-                release = last
-            else:
-                release = max(a0, last_use.get((cid, vid), _NEVER))
-            starts.append(a0)
-            ends.append(min(release, last))
-            cells_of.append(cid)
-            if len(cycles) > 1:
-                for a in cycles:
-                    if a > release:
-                        starts.append(a)
-                        ends.append(a)
-                        cells_of.append(cid)
-        base = np.asarray(cells_of, dtype=np.int64) * (span + 1) - first
-        deltas = np.zeros(n_cells * (span + 1), dtype=np.int64)
-        np.add.at(deltas, base + np.asarray(starts, dtype=np.int64), 1)
-        np.add.at(deltas, base + np.asarray(ends, dtype=np.int64) + 1, -1)
-        max_regs = int(np.cumsum(deltas).max())
-
-    busy = {(cid, cycle) for cycle, cid, _, _, _ in op_records}
-    used_cells = {cid for _, cid, _, _ in inj_records}
-    used_cells.update(cid for _, cid, _, _, _ in op_records)
-    for _, sid, did, _, _ in hop_records:
-        used_cells.add(sid)
-        used_cells.add(did)
-
+    protected, reclaim_at, release = low.release(reclaim_registers)
+    used_cells = np.unique(np.concatenate([
+        low.inj_cid[inj], low.op_cid[ops], low.src_cid[low.hops],
+        low.dst_cid[low.hops]]))
+    busy = np.unique(low.op_cid[ops] * (low.span + 1)
+                     + t.op_cycle[ops] - low.first)
     stats = MachineStats(
-        cycles=mc.span, first_cycle=first, last_cycle=last,
-        cells_used=len(used_cells), operations=len(op_records),
-        hops=len(hop_records), injections=len(inj_records),
-        max_registers_per_cell=max_regs, busy_cell_cycles=len(busy),
-        capacity_violations=violations)
+        cycles=mc.span, first_cycle=low.first, last_cycle=low.last,
+        cells_used=len(used_cells), operations=len(ops), hops=len(low.hops),
+        injections=len(inj), max_registers_per_cell=low.max_registers(release),
+        busy_cell_cycles=len(busy), capacity_violations=violations)
 
     # -- host outputs -------------------------------------------------------
-    outputs: list[tuple[tuple[int, ...], int]] = []
-    output_keys: list[tuple[ValueKey, tuple[int, ...]]] = []
-    for out in system.outputs:
-        pts = list(out.domain.points(params))
-        arr = np.array(pts, dtype=np.int64).reshape(
-            len(pts), len(out.domain.dims))
-        cols = [eval_index_int(e, out.domain.dims, arr, params)
-                for e in out.key]
-        host_rows = (list(map(tuple, np.column_stack(cols).tolist()))
-                     if cols else [() for _ in pts])
-        for p, host_key in zip(pts, host_rows):
-            key = ValueKey(out.module, out.var, p)
-            vid = key_ids.get(key)
-            if vid is None or vid not in produced_set:
-                raise MissingOperandError(f"output {key} was never computed")
-            outputs.append((host_key, vid))
-            output_keys.append((key, host_key))
+    plan = t.plan
+    is_produced = np.zeros(low.n, dtype=bool)
+    is_produced[produced_ids] = True
+    never = np.flatnonzero(~is_produced[plan.output_ids])
+    if len(never):
+        raise MissingOperandError(
+            f"output {plan.key(int(plan.output_ids[never[0]]))} was never "
+            f"computed")
 
     # -- structural event stream --------------------------------------------
     # Everything the interpreter emits live is a structural property of the
     # microcode; re-derive it here so a lowered machine can replay the same
     # event log without executing a single value pass.
-    events: "list[MachineEvent] | None" = None
-    if record_events:
-        events = []
-        for cycle, _, _, _, h in hop_records:
-            events.append(MachineEvent("hop", cycle, h.dst, repr(h.key),
-                                       src=h.src, stream=h.stream))
-        for cycle, _, _, e in inj_records:
-            events.append(MachineEvent("inject", cycle, e.cell, repr(e.key),
-                                       name=e.input_name))
-        for cycle, _, op, _, _ in op_records:
-            events.append(MachineEvent(
-                "fire", cycle, op.cell, repr(op.key),
-                name=op.op.name if op.op is not None else "copy",
-                stream=op.stream))
-        for key, host_key in output_keys:
-            t_prod, c_prod = mc.placement[key]
-            events.append(MachineEvent("output", t_prod, c_prod, repr(key),
-                                       name=str(host_key)))
-        if reclaim_registers:
-            cells_by_id = [None] * len(cell_ids)
-            for cell, cid in cell_ids.items():
-                cells_by_id[cid] = cell
-            for (cid, vid), cycles in arrivals.items():
-                if vid in protected:
-                    continue
-                # End-of-cycle reclamation after the last local use (or on
-                # arrival when the value is never read locally); re-arrivals
-                # after that point are reclaimed again the cycle they land.
-                release = max(min(cycles),
-                              last_use.get((cid, vid), _NEVER))
-                cell = cells_by_id[cid]
-                key_repr = repr(keys[vid])
-                if release <= last:
-                    events.append(MachineEvent("reclaim", release, cell,
-                                               key_repr))
-                for a in sorted(set(cycles)):
-                    if a > release:
-                        events.append(MachineEvent("reclaim", a, cell,
-                                                   key_repr))
-        events = canonical_order(events)
-
+    events = (low.events(protected, reclaim_at, reclaim_registers)
+              if record_events else None)
+    produced = produced_ids.tolist()
     return CompiledMachine(
-        keys=keys,
-        injections=[(vid, e.input_name, e.input_index)
-                    for _, _, vid, e in inj_records],
-        program=program, outputs=outputs, produced=produced, stats=stats,
-        strict_error=strict_error, events=events,
-        produced_keys=[keys[vid] for vid in produced])
+        keys=t.keys,
+        injections=[(vid, *t.inj_calls[i])
+                    for vid, i in zip(t.inj_id[inj].tolist(), inj.tolist())],
+        program=program_rows, outputs=list(plan.outputs), produced=produced,
+        stats=stats, strict_error=strict_error,
+        produced_keys=t.keys.take(produced), events=events)
 
 
 def run_compiled(mc: Microcode, trace: SystemTrace,

@@ -142,7 +142,8 @@ def nativize(compiled: CompiledMachine,
     if program.int_ok:
         kernel, reason = load_or_build(
             lambda: emit_kernel(program),
-            key_material=cache_token, cache_dir=cache_dir)
+            key_material=cache_token, cache_dir=cache_dir,
+            node_count=program.node_count)
     else:
         reason = ("program contains ops without exact int64 kernels; "
                   "running on the vector engine")

@@ -113,8 +113,10 @@ class SchedulePass(Pass):
         system: RecurrenceSystem = state.require("system", "decompose-chains")
         opts = state.options
         params = dict(state.params)
-        deps = system_dependence_matrices(system)
-        constraints = link_constraints(system, params)
+        with TRACER.span("schedule.deps"):
+            deps = system_dependence_matrices(system)
+        with TRACER.span("schedule.constraints"):
+            constraints = link_constraints(system, params)
 
         problems = []
         with TRACER.span("synthesize.enumerate"):
@@ -205,8 +207,10 @@ class AllocatePass(Pass):
             nonlocal exec_plan, check_trace
             with TRACER.span("space.lowering_check"):
                 if check_trace is None:
-                    exec_plan = build_execution_plan(system, params)
-                    check_trace = structural_trace(system, params, exec_plan)
+                    with TRACER.span("space.plan"):
+                        exec_plan = build_execution_plan(system, params)
+                        check_trace = structural_trace(system, params,
+                                                       exec_plan)
                 try:
                     mc = compile_design(check_trace, schedules,
                                         candidate.maps, decomposer)

@@ -23,6 +23,15 @@ class TestSynthesize:
         assert "verification: VerificationReport(OK)" in out
         assert "machine:" in out
 
+    def test_empty_domains_exit_with_one_line(self):
+        """dp at n=2 has no computation at all: a one-line error and a
+        non-zero exit, not a traceback from the report tables."""
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--problem", "dp", "--n", "2"])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "domain is empty" in message
+
     def test_unknown_interconnect(self):
         with pytest.raises(SystemExit):
             main(["synthesize", "--interconnect", "warp-drive"])

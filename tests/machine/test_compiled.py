@@ -141,6 +141,77 @@ def hand_capacity_microcode():
     return mc, trace
 
 
+def hand_cell_microcode(operations, hops=()):
+    """The tiny system's ``m::x(1,)`` injected into cell ``(0,)`` at cycle
+    0, followed by the given operations and hops."""
+    mc, trace = hand_capacity_microcode()
+    k1 = ValueKey("m", "x", (1,))
+    mc.placement = {k1: (0, (0,))}
+    mc.injections = [Injection(k1, (0,), 0, "inp", (1,))]
+    mc.operations = list(operations)
+    mc.hops = list(hops)
+    return mc, trace
+
+
+def logged(mc, trace, engine):
+    from repro.obs import EventLog, canonical_order
+
+    log = EventLog()
+    result = run(mc, trace, {"inp": lambda i: i * 10}, strict=False,
+                 engine=engine, sink=log)
+    return result, canonical_order(log.events)
+
+
+class TestHandWrittenOrder:
+    """Hand-written microcode the compiler never emits: both engines must
+    still agree on order, errors and capacity."""
+
+    X, Y, Z = (ValueKey("m", v, (1,)) for v in ("x", "y", "z"))
+
+    def test_same_cycle_reads_are_ordered_topologically(self):
+        # z := y is listed before y := x in the same cell and cycle.
+        mc, trace = hand_cell_microcode([
+            Operation(self.Z, (0,), 1, None, (self.Y,), ("m", "z")),
+            Operation(self.Y, (0,), 1, None, (self.X,), ("m", "y"))])
+        mc.last_cycle = 1
+        interp, interp_log = logged(mc, trace, "interpreted")
+        comp, comp_log = logged(mc, trace, "compiled")
+        assert comp.values == interp.values == {
+            self.X: 10, self.Y: 10, self.Z: 10}
+        assert list(comp.values) == list(interp.values)
+        assert comp.stats == interp.stats
+        assert comp_log == interp_log
+
+    def test_cyclic_same_cycle_reads_raise_the_same(self):
+        # The cycle is reported even though z also reads a value that
+        # never arrives: the interpreter orders a cell before it reads.
+        never = ValueKey("m", "w", (1,))
+        mc, trace = hand_cell_microcode([
+            Operation(self.Z, (0,), 1, None, (self.Y, never), ("m", "z")),
+            Operation(self.Y, (0,), 1, None, (self.Z,), ("m", "y"))])
+        mc.last_cycle = 1
+        messages = []
+        for engine in ("interpreted", "compiled"):
+            with pytest.raises(MissingOperandError) as info:
+                run(mc, trace, {"inp": lambda i: i * 10}, engine=engine)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("cyclic intra-cycle dependence")
+
+    def test_one_value_twice_on_a_link_is_no_violation(self):
+        hop = Hop(self.X, (0,), (1,), 1, ("m", "x"))
+        mc, trace = hand_cell_microcode(
+            [Operation(self.Y, (1,), 2, None, (self.X,), ("m", "y"))],
+            hops=[hop, hop])
+        mc.last_cycle = 2
+        interp, interp_log = logged(mc, trace, "interpreted")
+        comp, comp_log = logged(mc, trace, "compiled")
+        assert interp.stats.capacity_violations == []
+        assert comp.stats == interp.stats
+        assert comp.values == interp.values
+        assert comp_log == interp_log
+
+
 class TestCapacityPath:
     def test_strict_raises_same_message(self):
         inputs = {"inp": lambda i: i * 10}

@@ -143,6 +143,39 @@ class TestArtifactCache:
         assert len(calls) == 1          # cc ran once per key, not per call
         assert counter("native.negative_hits") == neg + 1
 
+    def test_layout_mismatch_rebuilds(self, tmp_path):
+        """A cached artifact recorded for another value-slot count (built
+        by a lowering with another id layout) is rebuilt, not loaded: the
+        kernel hard-codes slot indices."""
+        import json
+
+        _, vm, _ = dp_program()
+        nodes = vm.program.node_count
+        kernel, _ = load_or_build(lambda: emit_kernel(vm.program),
+                                  key_material="tok-layout",
+                                  cache_dir=tmp_path, node_count=nodes)
+        assert kernel is not None
+        (meta_path,) = tmp_path.glob("*.json")
+        meta = json.loads(meta_path.read_text())
+        meta["node_count"] = nodes + 7
+        meta_path.write_text(json.dumps(meta))
+
+        compiles = counter("native.compiles")
+        hits = counter("native.cache_hits")
+        kernel, reason = load_or_build(lambda: emit_kernel(vm.program),
+                                       key_material="tok-layout",
+                                       cache_dir=tmp_path, node_count=nodes)
+        assert reason is None and kernel.node_count == nodes
+        assert counter("native.compiles") == compiles + 1
+        assert counter("native.cache_hits") == hits
+        assert json.loads(meta_path.read_text())["node_count"] == nodes
+        # The rebuilt artifact is a plain hit again.
+        again, _ = load_or_build(lambda: emit_kernel(vm.program),
+                                 key_material="tok-layout",
+                                 cache_dir=tmp_path, node_count=nodes)
+        assert again is not None
+        assert counter("native.compiles") == compiles + 1
+
     def test_artifacts_on_disk(self, tmp_path):
         _, vm, _ = dp_program()
         kernel, _ = load_or_build(lambda: emit_kernel(vm.program),
