@@ -38,6 +38,7 @@ from repro.api import (
     ENGINES,
     DesignCache,
     SweepSpec,
+    SynthesisError,
     SynthesisOptions,
     available_passes,
     default_pipeline,
@@ -132,8 +133,15 @@ def cmd_synthesize(args) -> int:
                 print_ir_after=_csv(args.print_ir_after))
         except ValueError as exc:
             raise SystemExit(exc.args[0])
-    design = synthesize(system, params, _interconnect(args.interconnect),
-                        options, pipeline=pipeline)
+    try:
+        design = synthesize(system, params,
+                            _interconnect(args.interconnect), options,
+                            pipeline=pipeline)
+    except SynthesisError as exc:
+        detail = " ".join(str(exc).splitlines())
+        raise SystemExit(f"{args.problem} on {args.interconnect} at "
+                         f"{params}: no design: {type(exc).__name__}: "
+                         f"{detail}")
     if not any(len(design.module_points(name))
                for name in design.system.modules):
         raise SystemExit(f"{args.problem} at {params}: every module's "

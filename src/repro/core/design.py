@@ -50,11 +50,11 @@ class Design:
         default_factory=dict, init=False, compare=False, repr=False)
 
     def module_points(self, name: str) -> np.ndarray:
+        """The module's index points: the domain's shared, read-only
+        :meth:`~repro.ir.indexset.Polyhedron.points_array`."""
         if name not in self._points_cache:
-            module = self.system.modules[name]
-            pts = list(module.domain.points(self.params))
-            self._points_cache[name] = np.array(
-                pts, dtype=np.int64).reshape(len(pts), len(module.dims))
+            self._points_cache[name] = \
+                self.system.modules[name].domain.points_array(self.params)
         return self._points_cache[name]
 
     def time(self, module: str, point) -> int:

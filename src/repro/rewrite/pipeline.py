@@ -57,9 +57,9 @@ from repro.schedule.multimodule import (
 )
 from repro.schedule.solver import NoScheduleExists
 from repro.space.multimodule import (
+    JointSpaceSearch,
     ModuleSpaceProblem,
     NoSpaceMapExists,
-    solve_multimodule_space,
 )
 
 
@@ -221,6 +221,12 @@ class AllocatePass(Pass):
             return mc, None
 
         with TRACER.span("synthesize.space"):
+            search = JointSpaceSearch(
+                [ModuleSpaceProblem(name, module.dims, deps[name],
+                                    points[name], schedules[name],
+                                    bound=space_bound)
+                 for name, module in system.modules.items()],
+                constraints, decomposer, interconnect.label_dim)
             solved: list[dict] = []
             for plan in plans:
                 offsets = {name: tuple(offsets_for(name, plan))
@@ -230,23 +236,15 @@ class AllocatePass(Pass):
                 if offsets in solved:
                     continue
                 solved.append(offsets)
-                space_problems = [
-                    ModuleSpaceProblem(name, system.modules[name].dims,
-                                       deps[name], points[name],
-                                       schedules[name], bound=space_bound,
-                                       offsets=offsets[name])
-                    for name in system.modules]
+                # Only a strictly smaller candidate can replace ``best``
+                # (and a lowering failure only matters while there is
+                # none), so ``best``'s count bounds the later plans.
                 try:
-                    candidate = solve_multimodule_space(
-                        space_problems, constraints, decomposer,
-                        interconnect.label_dim)
+                    candidate = search.solve(
+                        offsets, upper_bound=None if best is None
+                        else best.total_cells)
                 except NoSpaceMapExists as exc:
                     last_error = exc
-                    continue
-                # Only a strictly smaller candidate can replace ``best``,
-                # and a lowering failure only matters while there is none.
-                if best is not None \
-                        and candidate.total_cells >= best.total_cells:
                     continue
                 mc, failure = lowering(candidate)
                 if failure is not None:
@@ -255,16 +253,9 @@ class AllocatePass(Pass):
                 best, best_mc = candidate, mc
             if best is None:
                 # Final escalation: offsets everywhere.
-                space_problems = [
-                    ModuleSpaceProblem(name, system.modules[name].dims,
-                                       deps[name], points[name],
-                                       schedules[name], bound=space_bound,
-                                       offsets=(-1, 0, 1))
-                    for name in system.modules]
                 try:
-                    best = solve_multimodule_space(
-                        space_problems, constraints, decomposer,
-                        interconnect.label_dim)
+                    best = search.solve({name: (-1, 0, 1)
+                                         for name in system.modules})
                 except NoSpaceMapExists as exc:
                     error = last_error if last_error is not None else exc
                     raise error from exc

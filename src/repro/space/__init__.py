@@ -12,6 +12,7 @@ from repro.space.allocation import (
 )
 from repro.space.diophantine import LinkDecomposer, solve_integer_system
 from repro.space.multimodule import (
+    JointSpaceSearch,
     ModuleSpaceProblem,
     MultiSpaceSolution,
     NoSpaceMapExists,
@@ -26,6 +27,7 @@ from repro.space.smith import (
 )
 
 __all__ = [
+    "JointSpaceSearch",
     "LinkDecomposer",
     "ModuleSpaceProblem",
     "MultiSpaceSolution",

@@ -11,8 +11,8 @@ Feasibility of a candidate ``S`` w.r.t. a schedule ``T`` and interconnection
   ``S d`` must be coverable by at most ``T(d)`` links of ``Δ`` (``K`` column
   with non-negative entries; idle cycles absorb the slack);
 * **conflict-freedom** — no two computations of the module may collide in
-  (time, cell); with ``[T; S]`` square and non-singular this holds globally,
-  otherwise we verify pointwise over the enumerated domain.
+  (time, cell); with ``[T; S]`` of full column rank (non-singular when
+  square) this holds for every pair of distinct points.
 """
 
 from __future__ import annotations
@@ -170,35 +170,55 @@ def _full_column_rank(pis: np.ndarray) -> np.ndarray:
     return full
 
 
-def enumerate_space_maps(dims: Sequence[str], label_dim: int,
-                         deps: DependenceMatrix | None,
-                         schedule: LinearSchedule,
-                         decomposer: LinkDecomposer,
-                         points: np.ndarray,
-                         bound: int = 1,
-                         offsets: Sequence[int] = (0,)) -> list[SpaceMap]:
-    """All feasible space maps with entries in ``[-bound, bound]`` (and
-    offsets drawn from ``offsets``), ordered by the paper's "least integer
-    values" preference (:func:`entry_preference`, row-major), offsets
-    varying fastest.
+def entry_codes(values) -> np.ndarray:
+    """Integer codes ``2|v| + (v < 0)`` of matrix entries: ascending codes
+    are the :func:`entry_preference` order, so comparing code sequences
+    lexicographically compares the preference pairs."""
+    values = np.asarray(values, dtype=np.int64)
+    return 2 * np.abs(values) + (values < 0)
 
-    Every base matrix of the box is one row of a ``(C, label_dim, n)``
-    int64 array, and the conditions filter all of them at once:
 
-    * full column rank of ``[T; S]`` (conflict-freedom for every problem
-      size) from exact int64 minors;
+def offset_grid(offsets: Sequence[int], label_dim: int) -> np.ndarray:
+    """Every offset vector with coordinates drawn from ``offsets``, as an
+    ``(O, label_dim)`` int64 array in preference order, the last
+    coordinate varying fastest."""
+    ranked = sorted(offsets, key=entry_preference)
+    return np.array(list(itertools.product(ranked, repeat=label_dim)),
+                    dtype=np.int64).reshape(-1, label_dim)
+
+
+def feasible_bases(dims: Sequence[str], label_dim: int,
+                   deps: DependenceMatrix | None,
+                   schedule: LinearSchedule,
+                   decomposer: LinkDecomposer,
+                   points: np.ndarray,
+                   bound: int = 1) -> np.ndarray:
+    """The offset-free matrices of every feasible space map with entries in
+    ``[-bound, bound]``: a ``(B, label_dim, n)`` int64 array in the
+    paper's "least integer values" order (:func:`entry_preference`,
+    row-major).
+
+    Every matrix of the box is one row of a ``(C, label_dim, n)`` array,
+    and the conditions filter all of them at once:
+
+    * full column rank of ``[T; S]`` from exact int64 minors.  ``[T; S]``
+      is then injective on ``Z^n``, so two computations share (time, cell)
+      only if they are the same point: one distinct-points check on
+      ``points`` is conflict-freedom (2) for every matrix and offset;
     * flow realisability (when local deps exist): ``S D`` for every
       candidate in one matmul, each displacement's link-hop count read
       from one BFS table (:meth:`LinkDecomposer.hop_table`) and compared
-      with its slack ``T d``;
-    * exact conflict-freedom over ``points``, once per surviving base
-      matrix: a constant offset moves every cell alike, so it maps
-      (time, cell) pairs one-to-one and cannot change the verdict.
+      with its slack ``T d``.
 
-    :class:`SpaceMap` objects are built for the survivors only.
+    An offset moves every cell alike, so it changes none of these
+    verdicts.
     """
-    dims = tuple(dims)
     n = len(dims)
+    pts = np.asarray(points, dtype=np.int64)
+    if len(pts) > 1:
+        ranked = pts[np.lexsort(pts.T)]
+        if (ranked[1:] == ranked[:-1]).all(axis=1).any():
+            return np.zeros((0, label_dim, n), dtype=np.int64)
     entries = np.array(sorted(range(-bound, bound + 1), key=entry_preference),
                        dtype=np.int64)
     width = label_dim * n
@@ -224,23 +244,31 @@ def enumerate_space_maps(dims: Sequence[str], label_dim: int,
             tuple(np.moveaxis(disps, 1, 0) - lo[:, None, None]),
             tuple(hi - lo + 1))
         mats = mats[(hops[index] <= slacks).all(axis=1)]
+    return mats
 
-    pts = np.asarray(points, dtype=np.int64)
-    if pts.shape[0] > 1:
-        times = pts @ coeffs
-        keep = np.ones(len(mats), dtype=bool)
-        for c, mat in enumerate(mats):
-            stamped = np.column_stack([times, pts @ mat.T])
-            # One lexsort + adjacent-row comparison: a collision is two
-            # equal consecutive rows in sorted order.
-            ranked = stamped[np.lexsort(stamped.T[::-1])]
-            keep[c] = not (ranked[1:] == ranked[:-1]).all(axis=1).any()
-        mats = mats[keep]
 
-    offs = list(itertools.product(sorted(offsets, key=entry_preference),
-                                  repeat=label_dim))
+def enumerate_space_maps(dims: Sequence[str], label_dim: int,
+                         deps: DependenceMatrix | None,
+                         schedule: LinearSchedule,
+                         decomposer: LinkDecomposer,
+                         points: np.ndarray,
+                         bound: int = 1,
+                         offsets: Sequence[int] = (0,)) -> list[SpaceMap]:
+    """All feasible space maps with entries in ``[-bound, bound]`` (and
+    offsets drawn from ``offsets``), ordered by the paper's "least integer
+    values" preference (:func:`entry_preference`, row-major), offsets
+    varying fastest.
+
+    The :class:`SpaceMap` view of :func:`feasible_bases` crossed with
+    :func:`offset_grid`: candidate ``c`` is base ``c // O`` with offset
+    ``c % O``.  The joint search works on those arrays directly.
+    """
+    dims = tuple(dims)
+    bases = feasible_bases(dims, label_dim, deps, schedule, decomposer,
+                           points, bound=bound)
+    offs = offset_grid(offsets, label_dim).tolist()
     return [SpaceMap(dims, matrix, off)
-            for matrix in mats.tolist() for off in offs]
+            for matrix in bases.tolist() for off in offs]
 
 
 def cells_used(space: SpaceMap, points: np.ndarray) -> set[tuple[int, ...]]:

@@ -32,6 +32,22 @@ class TestSynthesize:
         assert isinstance(message, str) and "\n" not in message
         assert "domain is empty" in message
 
+    @pytest.mark.parametrize("interconnect,n,error", [
+        ("linear", 8, "NoSpaceMapExists: module m1: no locally feasible"),
+        ("mesh", 6, "NoSpaceMapExists: space solution does not lower"),
+    ])
+    def test_infeasible_binding_exits_with_one_line(self, interconnect, n,
+                                                    error):
+        """A binding with no design is a verdict, not a crash: one line
+        naming the problem, interconnect, params and error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--problem", "dp", "--interconnect",
+                  interconnect, "--n", str(n)])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(
+            f"dp on {interconnect} at {{'n': {n}}}: no design: {error}")
+
     def test_unknown_interconnect(self):
         with pytest.raises(SystemExit):
             main(["synthesize", "--interconnect", "warp-drive"])

@@ -11,15 +11,25 @@ from repro.arrays import (
     STOCK_INTERCONNECTS,
 )
 from repro.core import link_constraints
-from repro.deps import system_dependence_matrices
+from repro.deps import DependenceMatrix, system_dependence_matrices
 from repro.problems import dp_system
-from repro.schedule import ModuleSchedulingProblem, solve_multimodule
+from repro.schedule import (
+    LinearSchedule,
+    ModuleSchedulingProblem,
+    solve_multimodule,
+)
+from repro.schedule.constraints import GlobalConstraint
 from repro.space import (
     ModuleSpaceProblem,
     NoSpaceMapExists,
+    SpaceMap,
     adjacency_ok,
+    cells_used,
     solve_multimodule_space,
 )
+from repro.space.allocation import feasible_bases
+
+from .reference_multimodule import solve_multimodule_space_reference
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +136,63 @@ class TestHopTable:
                 for gap in range(-1, max_gap + 1):
                     assert (hops <= gap) \
                         == decomposer.reachable_within(disp, gap)
+
+
+class TestTieBreak:
+    """A real tie in cell count, won by an assignment the search visits
+    after an equal-count one.
+
+    Candidates are visited base matrix first, then offset, while the
+    tie-break key puts each row's offset right after that row.  ``P``'s
+    offsets are drawn from (1, -1), so no candidate sits at offset 0: the
+    base ``[0 1; 1 0]`` (visited first) reaches 3 cells only at offset
+    (-1, -1), and ``[0 1; -1 1]`` (visited later) at (1, 1), whose first
+    offset coordinate ranks before -1.  ``Q``'s single cell lands on a
+    cell of ``P`` in both, so the tie is already complete at ``P``'s
+    level: a search that pruned equal partial unions, or that kept the
+    first of equal counts, would return the earlier assignment.
+    """
+
+    ic = STOCK_INTERCONNECTS["hex-6"]
+    p_points = np.array([(0, -1), (1, 1), (2, -2)])
+    p_schedule = LinearSchedule(("i", "j"), (0, 1))
+    # Q reads P's point (1, 1), two cycles after P computes it.
+    q_schedule = LinearSchedule(("k",), (1,), offset=3)
+    link = GlobalConstraint("Q.p", "Q", "P", np.array([(0,)]),
+                            np.array([(1, 1)]))
+
+    def problems(self):
+        return [
+            ModuleSpaceProblem(
+                "P", ("i", "j"), DependenceMatrix.from_dict({"v": [(0, 1)]}),
+                self.p_points, self.p_schedule, offsets=(1, -1)),
+            ModuleSpaceProblem("Q", ("k",), None, np.array([(0,)]),
+                               self.q_schedule)]
+
+    def test_smaller_key_wins_the_tie(self):
+        sol = solve_multimodule_space(self.problems(), [self.link],
+                                      self.ic.decomposer(), 2)
+        assert sol.maps["P"] == SpaceMap(("i", "j"), ((0, 1), (-1, 1)),
+                                         (1, 1))
+        assert sol.total_cells == 3
+        ref = solve_multimodule_space_reference(
+            self.problems(), [self.link], self.ic.decomposer(), 2)
+        assert (sol.maps, sol.total_cells) == (ref.maps, ref.total_cells)
+
+    def test_tie_is_real_and_visited_first(self):
+        problems = self.problems()
+        decomposer = self.ic.decomposer()
+        earlier = SpaceMap(("i", "j"), ((0, 1), (1, 0)), (-1, -1))
+        q_map = SpaceMap(("k",), ((0,), (0,)))
+        assert adjacency_ok(self.link, self.q_schedule, self.p_schedule,
+                            q_map, earlier, decomposer)
+        cells = cells_used(earlier, self.p_points) \
+            | cells_used(q_map, np.array([(0,)]))
+        assert len(cells) == 3
+        p = problems[0]
+        bases = feasible_bases(p.dims, 2, p.deps, p.schedule, decomposer,
+                               p.points).tolist()
+        assert bases.index([[0, 1], [1, 0]]) < bases.index([[0, 1], [-1, 1]])
 
 
 class TestSearchSpans:

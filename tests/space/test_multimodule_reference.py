@@ -169,3 +169,88 @@ def test_constraint_within_one_module():
     # the link changes the optimum, so the check above is not vacuous
     assert got != outcome(solve_multimodule_space, problems,
                           state.constraints, ic)
+
+
+def _space_cases(family, interconnect):
+    """``(n, problems, constraints)`` of every plan
+    :func:`test_same_maps_as_reference` compares."""
+    builder, extra = FAMILIES[family]
+    ic = STOCK_INTERCONNECTS[interconnect]
+    for n in SIZES.get((family, interconnect), (4, 6, 8)):
+        params = {"n": n, **extra}
+        try:
+            state = run_pipeline(builder(), params, ic, SynthesisOptions(),
+                                 pipeline=SCHEDULED)
+        except NoScheduleExists:
+            continue
+        modules = state.system.modules
+        widened = {name for name, m in modules.items()
+                   if len(m.dims) <= ic.label_dim}
+        if not widened and n <= 6:
+            widened = set(modules)
+        for plan in ("plain", "offsets") if widened else ("plain",):
+            yield n, [
+                ModuleSpaceProblem(
+                    name, m.dims, state.deps[name],
+                    m.domain.points_array(params), state.schedules[name],
+                    offsets=(-1, 0, 1) if plan == "offsets"
+                    and name in widened else (0,))
+                for name, m in modules.items()], state.constraints
+
+
+@pytest.mark.parametrize("interconnect", sorted(STOCK_INTERCONNECTS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_upper_bound_matches_restricted_reference(family, interconnect):
+    """``upper_bound=b`` keeps only allocations of fewer than ``b`` cells.
+    The optimum of that restriction is the unbounded reference optimum
+    when its count is below ``b``, and there is none otherwise.  Bounds:
+    the optimum itself (exclusive, so no solution), one above it (the
+    same maps) and 1 (below every lower bound, so the solve is skipped)."""
+    ic = STOCK_INTERCONNECTS[interconnect]
+    for n, problems, constraints in _space_cases(family, interconnect):
+        want = outcome(solve_multimodule_space_reference, problems,
+                       constraints, ic)
+        feasible = want[0] != "infeasible"
+        for bound in (1, want[1], want[1] + 1) if feasible else (1, 10**6):
+            got = outcome(
+                lambda *args: solve_multimodule_space(
+                    *args, upper_bound=bound),
+                problems, constraints, ic)
+            if feasible and want[1] < bound:
+                assert got == want, (family, interconnect, n, bound)
+            else:
+                assert got[0] == "infeasible", (family, interconnect, n,
+                                                bound)
+
+
+def test_single_module_translated_plan_is_skipped():
+    """A translation cannot change a single module's cell count, so the
+    plain plan's optimum bounds the translated plan below its lower bound
+    and the pass skips that plan's search."""
+    from repro.api import synthesize
+    from repro.obs import TRACER
+
+    ic = STOCK_INTERCONNECTS["fig2-extended"]
+    system = convolution_backward()
+    (module,) = system.modules.values()
+    assert len(module.dims) <= ic.label_dim    # the plan widens its offsets
+    was_enabled = TRACER.enabled
+    TRACER.reset()
+    TRACER.enable()
+    try:
+        synthesize(system, {"n": 8, "s": 3}, ic)
+        (space,) = [span for root in TRACER.spans()
+                    for span in _walk(root)
+                    if span.name == "synthesize.space"]
+    finally:
+        TRACER.enabled = was_enabled
+        TRACER.reset()
+    searches = [child for child in space.children
+                if child.name == "space.search"]
+    assert len(searches) == 1
+
+
+def _walk(span):
+    yield span
+    for child in span.children:
+        yield from _walk(child)
