@@ -66,7 +66,6 @@ except ImportError:                                   # non-POSIX platforms
 
 from repro.arrays.interconnect import Interconnect
 from repro.core.design import Design
-from repro.core.globals import link_constraints
 from repro.core.options import SynthesisOptions
 from repro.ir.program import RecurrenceSystem
 from repro.obs import TRACER
@@ -538,9 +537,7 @@ class DesignCache:
         payload = self.load(key)
         if payload is None or payload.get("status") != "ok":
             return None
-        design = Design.from_dict(payload["design"], system)
-        design.constraints = link_constraints(system, design.params)
-        return design
+        return Design.from_dict(payload["design"], system)
 
     def put(self, key: str, design: Design, *,
             solve_time: float = 0.0) -> Path:

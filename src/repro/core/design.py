@@ -12,6 +12,7 @@ import numpy as np
 from repro.arrays.dataflow import Flow, variable_flows
 from repro.arrays.interconnect import Interconnect
 from repro.arrays.model import ArrayRegion, VLSIArray
+from repro.core.globals import link_constraints
 from repro.deps.extract import system_dependence_matrices
 from repro.ir.program import RecurrenceSystem
 from repro.schedule.constraints import GlobalConstraint
@@ -32,7 +33,9 @@ class Design:
     interconnect: Interconnect
     schedules: dict[str, LinearSchedule]
     space_maps: dict[str, SpaceMap]
-    constraints: list[GlobalConstraint] = field(default_factory=list)
+    #: derived from ``(system, params)`` and never serialised
+    constraints: list[GlobalConstraint] = field(default_factory=list,
+                                                compare=False)
 
     # The caches belong to this object's maps: ``init=False`` makes
     # ``dataclasses.replace`` start a copy with empty ones, and
@@ -133,7 +136,8 @@ class Design:
 
     @staticmethod
     def from_dict(data: dict, system: RecurrenceSystem) -> "Design":
-        """Rebuild a design from :meth:`to_dict` output plus the system.
+        """Rebuild a design from :meth:`to_dict` output plus the system;
+        the link constraints are derived again from the system and params.
 
         Raises ``ValueError`` when the payload was produced for a different
         system (module names must match).
@@ -157,7 +161,8 @@ class Design:
             for name, m in data["space_maps"].items()}
         return Design(system=system, params=dict(data["params"]),
                       interconnect=interconnect, schedules=schedules,
-                      space_maps=space_maps)
+                      space_maps=space_maps,
+                      constraints=link_constraints(system, data["params"]))
 
     def summary(self) -> str:
         """Human-readable design card."""

@@ -8,7 +8,8 @@ Section V derives the inequalities::
     σ(i, j, j) >= max[λ(i, j, i+1), μ(i, j, j-1)]    (from A5)
 
 by inspecting the inter-module statements.  We compute the same constraints
-*extensionally*: every link rule is enumerated over its guarded domain, and
+*extensionally*: each link rule's firing rows come from the execution
+plan's vectorised first-match (:func:`~repro.ir.evaluate.select_rules`), and
 each (destination point, source point) pair becomes an instance of a
 :class:`GlobalConstraint`.  The enumeration is exact for the given parameter
 values, handles quasi-affine index maps (the ``(i+j)/2`` boundaries) without
@@ -20,47 +21,32 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-
+from repro.ir.evaluate import _index_rows, select_rules
 from repro.ir.program import RecurrenceSystem
+from repro.ir.statements import LinkRule
 from repro.schedule.constraints import GlobalConstraint
 
 
 def link_constraints(system: RecurrenceSystem,
                      params: Mapping[str, int]) -> list[GlobalConstraint]:
-    """One :class:`GlobalConstraint` per link rule, instances enumerated.
+    """One :class:`GlobalConstraint` per link rule that fires, instances
+    enumerated in domain order.
 
     Constraints are named by the rule's label (A1..A5) when present,
     otherwise ``dst_module.dst_var[rule_index]``.
     """
     constraints: list[GlobalConstraint] = []
-    domains = {name: list(m.domain.points(params))
-               for name, m in system.modules.items()}
-    for module_name, module in system.modules.items():
-        for eqn in module.equations.values():
-            for rule_idx, rule in enumerate(eqn.rules):
-                if not hasattr(rule, "source"):
-                    continue
-                dst_pts: list[tuple[int, ...]] = []
-                src_pts: list[tuple[int, ...]] = []
-                for p in domains[module_name]:
-                    binding = {**params, **dict(zip(module.dims, p))}
-                    if not eqn.defined_at(binding):
-                        continue
-                    # First-match semantics: the rule constrains only the
-                    # points where it actually fires.
-                    if eqn.select(binding) is not rule:
-                        continue
-                    dst_pts.append(p)
-                    src_pts.append(rule.source.evaluate(binding))
-                if not dst_pts:
-                    continue
-                name = rule.label or f"{module_name}.{eqn.var}[{rule_idx}]"
-                constraints.append(GlobalConstraint(
-                    name=name,
-                    dst_module=module_name,
-                    src_module=rule.source.module,
-                    dst_points=np.array(dst_pts, dtype=np.int64),
-                    src_points=np.array(src_pts, dtype=np.int64),
-                    min_gap=rule.min_gap))
+    for name, var, rule_idx, rule, rows in select_rules(system, params):
+        if not isinstance(rule, LinkRule):
+            continue
+        module = system.modules[name]
+        dst_points = module.domain.points_array(params)[rows]
+        constraints.append(GlobalConstraint(
+            name=rule.label or f"{name}.{var}[{rule_idx}]",
+            dst_module=name,
+            src_module=rule.source.module,
+            dst_points=dst_points,
+            src_points=_index_rows(rule.source.index, module.dims,
+                                   dst_points, params),
+            min_gap=rule.min_gap))
     return constraints

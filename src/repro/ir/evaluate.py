@@ -9,15 +9,15 @@ Values are identified by :class:`ValueKey` ``(module, var, point)``.
 Execution is split into two phases:
 
 * :func:`build_execution_plan` — resolve, for every defined value, which
-  rule fires and which values it reads (vectorised first-match guard
-  selection over the enumerated domain arrays), give every value one dense
-  integer id, and topologically order the dependence-id graph (Kahn, one
-  frontier at a time).  The plan is int64 arrays per rule group and is the
-  one id space the microcode and the lowered machine index too.  It depends
-  only on the system and the
-  parameter binding — never on input values — so callers that execute the
-  same system repeatedly (the verification engine, sweeps over random
-  seeds) can build it once.
+  rule fires (:func:`select_rules`: vectorised first-match guard selection
+  over the enumerated domain arrays, the one rule selection the global
+  link constraints read too) and which values it reads, give every value
+  one dense integer id, and topologically order the dependence-id graph
+  (Kahn, one frontier at a time).  The plan is int64 arrays per rule group
+  and is the one id space the microcode and the lowered machine index too.
+  It depends only on the system and the parameter binding — never on input
+  values — so callers that execute the same system repeatedly (the
+  verification engine, sweeps over random seeds) can build it once.
 * :func:`execute_plan` — one pass over the pre-ordered node table applying
   each rule to already-computed operand slots.  No recursion (deep DP
   chains cannot hit Python's recursion limit) and no per-value dict
@@ -368,12 +368,44 @@ def _fifo_order(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def select_rules(system: RecurrenceSystem, params: Mapping[str, int]
+                 ) -> list[tuple[str, str, int, Rule, np.ndarray]]:
+    """Which rule defines each value, by vectorised first-match over the
+    guards: one ``(module, var, rule index, rule, rows)`` entry per rule
+    that fires, in module, equation, rule order, with the ascending rows of
+    the module's ``points_array`` it fires at.  A defined point no guard
+    covers raises the ``ValueError`` of :meth:`Equation.select`."""
+    selection: list[tuple[str, str, int, Rule, np.ndarray]] = []
+    for name, module in system.modules.items():
+        pts = module.domain.points_array(params)
+        dims = module.dims
+        all_rows = np.arange(pts.shape[0])
+        for var, eqn in module.equations.items():
+            remaining = _guard_rows(eqn.where, dims, pts, all_rows, params)
+            for rule_idx, rule in enumerate(eqn.rules):
+                if len(remaining) == 0:
+                    break
+                chosen = _guard_rows(rule.guard, dims, pts, remaining, params)
+                if len(chosen):
+                    mask = np.ones(len(remaining), dtype=bool)
+                    mask[np.searchsorted(remaining, chosen)] = False
+                    remaining = remaining[mask]
+                    selection.append((name, var, rule_idx, rule, chosen))
+            if len(remaining):
+                row = pts[int(remaining[0])].tolist()
+                binding = {**params, **dict(zip(dims, row))}
+                eqn.select(binding)  # raises ValueError("no rule guard holds")
+    return selection
+
+
 def build_execution_plan(system: RecurrenceSystem,
                          params: Mapping[str, int]) -> ExecutionPlan:
     """Resolve rules, operands and evaluation order — no values involved."""
     params = dict(params)
     points = {name: module.domain.points_array(params)
               for name, module in system.modules.items()}
+    # Pass 1 — rule selection (shared with the global link constraints).
+    selection = select_rules(system, params)
     indexes: dict[str, _PointIndex] = {}
 
     def point_index(name: str) -> _PointIndex:
@@ -399,37 +431,13 @@ def build_execution_plan(system: RecurrenceSystem,
         eqn.select(binding)  # raises ValueError (undefined / no guard)
         raise KeyError(f"unresolvable reference to {key}")  # pragma: no cover
 
-    # Pass 1 — rule selection: for every equation, split its defined rows
-    # among the rules by vectorised first-match over the guards.
-    selection: list[tuple[str, str, Rule, np.ndarray]] = []
-    for name, module in system.modules.items():
-        pts = points[name]
-        dims = module.dims
-        all_rows = np.arange(pts.shape[0])
-        for var, eqn in module.equations.items():
-            defined = _guard_rows(eqn.where, dims, pts, all_rows, params)
-            remaining = defined
-            for rule in eqn.rules:
-                if len(remaining) == 0:
-                    break
-                chosen = _guard_rows(rule.guard, dims, pts, remaining, params)
-                if len(chosen):
-                    mask = np.ones(len(remaining), dtype=bool)
-                    mask[np.searchsorted(remaining, chosen)] = False
-                    remaining = remaining[mask]
-                    selection.append((name, var, rule, chosen))
-            if len(remaining):
-                row = pts[int(remaining[0])].tolist()
-                binding = {**params, **dict(zip(dims, row))}
-                eqn.select(binding)  # raises ValueError("no rule guard holds")
-
     # Dense ids, rule group by rule group (rows ascending); ``var_ids``
     # maps a (module, var) and a point row to its id (-1: undefined).
     var_ids: dict[tuple[str, str], np.ndarray] = {}
     streams: dict[tuple[str, str], int] = {}
     starts: list[int] = []
     cursor = 0
-    for name, var, _, rows in selection:
+    for name, var, _, _, rows in selection:
         ids = var_ids.get((name, var))
         if ids is None:
             ids = var_ids[(name, var)] = np.full(len(points[name]), -1,
@@ -455,7 +463,7 @@ def build_execution_plan(system: RecurrenceSystem,
     # Pass 2 — operand resolution per rule group, vectorised over the
     # group's point rows.
     groups: list[RuleGroup] = []
-    for (name, var, rule, rows), start in zip(selection, starts):
+    for (name, var, _, rule, rows), start in zip(selection, starts):
         module = system.modules[name]
         dims = module.dims
         sub = points[name][rows]

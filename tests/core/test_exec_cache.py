@@ -63,7 +63,6 @@ def test_fresh_and_rebuilt_designs_verify_alike(job):
     family, interconnect, params = job
     system, design = synthesized(family, interconnect, params)
     rebuilt = api.Design.from_dict(design.to_dict(), system)
-    rebuilt.constraints = design.constraints
     assert "microcode" not in rebuilt._exec_cache
     for engine in ENGINES:
         fresh_report = verify(design, family, params, engine)
@@ -108,7 +107,6 @@ def test_caches_are_not_compared():
     system = dp_system()
     design = api.synthesize(system, params, api.resolve_interconnect("fig2"))
     rebuilt = api.Design.from_dict(design.to_dict(), system)
-    rebuilt.constraints = design.constraints
     assert api.verify_design(design, api.random_inputs("dp", params, 1)).ok
     assert design._points_cache and not rebuilt._points_cache
     assert design == rebuilt
